@@ -23,17 +23,14 @@ threads and runs reproduce byte for byte.
 from .crystal import (
     CohomologyReport,
     DoubleComplex,
-    build_simplicial_dr,
     compare_dr_cris,
     cris,
     known_values_check,
-    totalize,
 )
 from .derham import (
     DeRhamComplex,
     PFSmObject,
     base_change_check,
-    build_dr,
     graded_cells,
     poincare_check,
 )
@@ -80,9 +77,9 @@ __all__ = [
     "fill_boundary",
     "Presentation", "Morphism", "Homotopy", "catalog", "lift_algebra",
     "lift_morphism", "build_homotopy", "fill_mapping_boundary",
-    "PFSmObject", "DeRhamComplex", "build_dr", "graded_cells",
+    "PFSmObject", "DeRhamComplex", "graded_cells",
     "poincare_check", "base_change_check", "cech_descent_check",
-    "DoubleComplex", "CohomologyReport", "build_simplicial_dr", "totalize",
+    "DoubleComplex", "CohomologyReport",
     "cris", "compare_dr_cris", "known_values_check",
 ]
 

@@ -77,7 +77,7 @@ def _read_schema_lines(text, kind):
              if ln.strip() and not ln.strip().startswith("#")]
     if not lines or lines[0] != f"schema: {SCHEMA}":
         raise ValueError(f"missing 'schema: {SCHEMA}' header")
-    if lines[1] != f"kind: {kind}":
+    if len(lines) < 2 or lines[1] != f"kind: {kind}":
         raise ValueError(f"expected 'kind: {kind}'")
     return lines[2:]
 
@@ -179,20 +179,6 @@ def write_report(args, verb, status, body_lines, witness=""):
     else:
         sys.stdout.write(text)
     return 0 if status in ("pass", "report") else 1
-
-
-def _thread_bound():
-    raw = os.environ.get("CRYSTALCALC_THREADS")
-    if raw is None:
-        return 1
-    try:
-        bound = int(raw)
-    except ValueError as exc:
-        raise ValueError("CRYSTALCALC_THREADS must be an integer") from exc
-    if bound < 1:
-        raise ValueError("CRYSTALCALC_THREADS must be >= 1")
-    # execution is serial; any positive bound is respected
-    return 1
 
 
 # -- verbs ----------------------------------------------------------------------
@@ -386,7 +372,7 @@ def build_parser():
                     help="comma separated linear localizing elements")
     sp.set_defaults(func=run_dr)
 
-    sp = sub.add_parser("cris", help="totalized interval cohomology")
+    sp = sub.add_parser("cris", help="cohomology of the interval totalization")
     common(sp, M_default=2)
     sp.set_defaults(func=run_cris)
 
@@ -409,7 +395,6 @@ def validate(args):
     if getattr(args, "seed", 0) < 0:
         raise ValueError("seed must be >= 0")
     ZpN(args.p, getattr(args, "N", 1))  # validates primality
-    _thread_bound()
 
 
 def main(argv=None) -> int:

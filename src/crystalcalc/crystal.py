@@ -21,7 +21,7 @@ stabilization check guards the boundary.
 
 from dataclasses import dataclass, field
 
-from .derham import FormBasis, PFSmObject, build_dr, graded_cells
+from .derham import DeRhamComplex, FormBasis, PFSmObject, graded_cells
 from .errors import CatalogMismatch, ComparisonFailure, SignConventionViolation
 from .linalg import ElementaryDivisors, Matrix, kernel, subquotient
 from .reports import CheckReport, merge_reports
@@ -39,7 +39,7 @@ class DoubleComplex:
         self.A = A
         self.M = M
         self.D = D
-        self.columns = [build_dr(PFSmObject(A, m, D)) for m in range(M + 1)]
+        self.columns = [DeRhamComplex(PFSmObject(A, m, D)) for m in range(M + 1)]
         self.tower = LevelTower(A.ring, D, geom=A.generators, E=A.E,
                                 divided=True, variant="interval")
         self._face_cache = {}
@@ -292,35 +292,6 @@ class DoubleComplex:
         return CheckReport("augmentation-chain-map", True, details={"graded": g})
 
 
-class TotalComplex:
-    """A graded-piece view of the normalized truncated totalization."""
-
-    def __init__(self, dc: DoubleComplex, g=None):
-        self.dc = dc
-        self.g = g
-
-    def blocks(self, i):
-        return self.dc.tot_blocks(i)
-
-    def dimension(self, i):
-        _, dim = self.dc._offsets(self.dc.tot_blocks(i), self.g)
-        return dim
-
-    def matrix(self, i) -> Matrix:
-        return self.dc.tot_matrix(i, self.g)
-
-    def cohomology(self, i) -> ElementaryDivisors:
-        return self.dc.total_cohomology(i, self.g)
-
-    def assert_complex(self, degrees=None):
-        return self.dc.assert_total_complex(self.g, degrees)
-
-
-def totalize(dc: DoubleComplex, g=None) -> TotalComplex:
-    """Collapse the double complex to its total complex (one graded piece)."""
-    return TotalComplex(dc, g)
-
-
 @dataclass
 class CohomologyReport:
     """Per total degree and graded degree, the elementary divisors."""
@@ -356,13 +327,9 @@ def _gkey(g):
     return (0, 0) if g is None else (1, g)
 
 
-def build_simplicial_dr(A: Presentation, M: int, D: int) -> DoubleComplex:
-    return DoubleComplex(A, M, D)
-
-
 def cris(A: Presentation, M: int, D: int, degrees=None, seed=0) -> CohomologyReport:
     """Cohomology of the truncated totalization, per certified graded degree."""
-    dc = build_simplicial_dr(A, M, D)
+    dc = DoubleComplex(A, M, D)
     q_max = dc.columns[0].max_form_degree()
     degrees = degrees if degrees is not None else range(0, max(q_max, 1) + 1)
     cells = {}
@@ -377,7 +344,7 @@ def cris(A: Presentation, M: int, D: int, degrees=None, seed=0) -> CohomologyRep
 
 def dr_report(A: Presentation, D: int, seed=0) -> CohomologyReport:
     """Plain de Rham cohomology of the base algebra, same report format."""
-    cx = build_dr(PFSmObject(A, 0, D))
+    cx = DeRhamComplex(PFSmObject(A, 0, D))
     q_max = cx.max_form_degree()
     cells = {}
     for g in graded_cells(A, D):
@@ -390,7 +357,7 @@ def dr_report(A: Presentation, D: int, seed=0) -> CohomologyReport:
 
 def compare_dr_cris(A: Presentation, M: int, D: int, seed=0,
                     strict: bool = False) -> CheckReport:
-    """Plain de Rham equals the totalized interval construction.
+    """Plain de Rham equals the totalization of the interval construction.
 
     Certified in total degrees up to M-1 per graded degree; the chain-map
     inclusion of column 0, the Moore property, the commuting squares and the
@@ -402,12 +369,12 @@ def compare_dr_cris(A: Presentation, M: int, D: int, seed=0,
     def out(rep):
         return rep.require(ComparisonFailure) if strict else rep
 
-    dc = build_simplicial_dr(A, M, D)
+    dc = DoubleComplex(A, M, D)
     reports = []
     q_max = dc.columns[0].max_form_degree()
     gs = graded_cells(A, D)
     degree_bound = min(M - 1, q_max)
-    base = build_dr(PFSmObject(A, 0, D))
+    base = DeRhamComplex(PFSmObject(A, 0, D))
     mismatches = []
     structural_ok = True
     for g in gs:
@@ -431,7 +398,7 @@ def compare_dr_cris(A: Presentation, M: int, D: int, seed=0,
         i, g, want, got = mismatches[0]
         reports.append(CheckReport(
             "divisor-comparison", False,
-            witness=f"degree {i}, graded {g}: direct {want} vs totalized {got}",
+            witness=f"degree {i}, graded {g}: direct {want} vs totalization {got}",
             details={"mismatches": len(mismatches)}))
         return out(merge_reports(f"compare-{A.name}", reports))
     reports.append(CheckReport("divisor-comparison", True,
@@ -440,7 +407,7 @@ def compare_dr_cris(A: Presentation, M: int, D: int, seed=0,
     # stabilization: truncating one column earlier must not change the
     # already-certified degrees
     if M >= 2:
-        dc_prev = build_simplicial_dr(A, M - 1, D)
+        dc_prev = DoubleComplex(A, M - 1, D)
         stable = True
         witness = ""
         for g in gs:
@@ -500,7 +467,7 @@ def oracle_divisors(name: str, i: int, g, ring) -> ElementaryDivisors:
 
 
 def known_values_check(A: Presentation, M: int, D: int) -> CheckReport:
-    """Compare the totalized cohomology against the stored catalog values."""
+    """Compare the totalization's cohomology with the stored catalog values."""
     if A.name not in ("point", "a1", "gm"):
         raise CatalogMismatch(f"algebra {A.name!r} is not in the catalog")
     report = cris(A, M, D, degrees=range(0, min(M, 2)))

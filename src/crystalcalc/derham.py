@@ -228,8 +228,7 @@ class DeRhamComplex:
                 pos = sum(1 for j in b.J if j < w)
                 sign = -1 if pos % 2 else 1
                 newJ = tuple(sorted(b.J + (w,)))
-                val = coeff if factor is None else pres.reduce(
-                    coeff.mul(_embed_spec(factor, self.spec)))
+                val = pres.reduce(coeff.mul(_embed_spec(factor, self.spec)))
                 self._distribute(val, newJ, b.K, sign, target_index, row,
                                  self.obj.D, expected)
         # interval part: d(T^[k]) = T^[k-1] dT
@@ -345,12 +344,6 @@ def _embed_spec(f: PDSeries, spec: VarSpec) -> PDSeries:
     return PDSeries(spec, terms, f.prec)
 
 
-def build_dr(obj: PFSmObject) -> DeRhamComplex:
-    """The de Rham complex of the object; the chain property is asserted."""
-    cx = DeRhamComplex(obj)
-    return cx
-
-
 # -- graded windows ----------------------------------------------------------
 
 
@@ -409,8 +402,8 @@ def poincare_check(A: Presentation, m: int, D: int,
 
     obj_m = PFSmObject(A, m, D)
     obj_0 = PFSmObject(A, 0, D)
-    col = build_dr(obj_m)
-    base = build_dr(obj_0)
+    col = DeRhamComplex(obj_m)
+    base = DeRhamComplex(obj_0)
     cells = graded_cells(A, D) if graded else [None]
     reports = []
     for g in cells:
@@ -474,7 +467,7 @@ def base_change_check(A: Presentation, m: int, D: int,
                       strict: bool = False) -> CheckReport:
     """Windowed torsion-freeness plus the mod-p basis-to-basis comparison."""
     obj = PFSmObject(A, m, D)
-    cx = build_dr(obj)
+    cx = DeRhamComplex(obj)
 
     def out(rep):
         if strict and not rep.passed:
@@ -494,7 +487,7 @@ def base_change_check(A: Presentation, m: int, D: int,
                                details={"m": m, "degrees": cx.max_form_degree() + 1}))
 
     small_pres = _change_precision(A, 1)
-    small = build_dr(PFSmObject(small_pres, m, D))
+    small = DeRhamComplex(PFSmObject(small_pres, m, D))
     p = A.ring.p
     for q in range(cx.max_form_degree() + 1):
         if cx.basis(q) != small.basis(q):

@@ -13,22 +13,17 @@ is the left kernel {x : x*M = 0}.
 from .errors import ContainmentViolation
 from .ring import ZpN
 
-DENSITY_THRESHOLD = 0.25
-
 
 class Matrix:
-    """Immutable matrix over Z/p^N with sparse or dense backing storage.
+    """Immutable sparse matrix over Z/p^N.
 
-    Storage is an implementation detail: below the density threshold entries
-    live in a dict keyed by (row, col), otherwise in row lists.  All
-    computations extract per-row dicts, so results never depend on which
-    backing store was chosen.
+    Nonzero entries live in a dict keyed by (row, col); zeros are never
+    stored.  Computations extract per-row dicts (``row_dicts``).
     """
 
-    __slots__ = ("ring", "nrows", "ncols", "_sparse", "_dense")
+    __slots__ = ("ring", "nrows", "ncols", "_sparse")
 
-    def __init__(self, ring: ZpN, nrows: int, ncols: int, entries=None,
-                 threshold: float = DENSITY_THRESHOLD):
+    def __init__(self, ring: ZpN, nrows: int, ncols: int, entries=None):
         self.ring = ring
         self.nrows = nrows
         self.ncols = ncols
@@ -40,16 +35,7 @@ class Matrix:
                 v %= ring.modulus
                 if v:
                     cleaned[(i, j)] = v
-        size = nrows * ncols
-        if size and len(cleaned) / size > threshold:
-            dense = [[0] * ncols for _ in range(nrows)]
-            for (i, j), v in cleaned.items():
-                dense[i][j] = v
-            self._dense = dense
-            self._sparse = None
-        else:
-            self._sparse = cleaned
-            self._dense = None
+        self._sparse = cleaned
 
     @classmethod
     def from_rows(cls, ring, rows, ncols=None):
@@ -83,48 +69,32 @@ class Matrix:
         return cls(ring, nrows, ncols, {})
 
     def get(self, i, j):
-        if self._dense is not None:
-            return self._dense[i][j]
         return self._sparse.get((i, j), 0)
 
     def row_dicts(self):
         out = [dict() for _ in range(self.nrows)]
-        if self._dense is not None:
-            for i, row in enumerate(self._dense):
-                d = out[i]
-                for j, v in enumerate(row):
-                    if v:
-                        d[j] = v
-        else:
-            for (i, j), v in self._sparse.items():
-                out[i][j] = v
+        for (i, j), v in self._sparse.items():
+            out[i][j] = v
         return out
 
     def to_dense(self):
         rows = [[0] * self.ncols for _ in range(self.nrows)]
-        if self._dense is not None:
-            for i, row in enumerate(self._dense):
-                rows[i] = list(row)
-        else:
-            for (i, j), v in self._sparse.items():
-                rows[i][j] = v
+        for (i, j), v in self._sparse.items():
+            rows[i][j] = v
         return rows
 
     def is_zero(self):
-        if self._dense is not None:
-            return all(v == 0 for row in self._dense for v in row)
         return not self._sparse
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if (self.ring, self.nrows, self.ncols) != (other.ring, other.nrows, other.ncols):
-            return False
-        return self.to_dense() == other.to_dense()
+        return ((self.ring, self.nrows, self.ncols, self._sparse)
+                == (other.ring, other.nrows, other.ncols, other._sparse))
 
     def __hash__(self):
         return hash((self.ring, self.nrows, self.ncols,
-                     tuple(tuple(r) for r in self.to_dense())))
+                     frozenset(self._sparse.items())))
 
     def __repr__(self):
         return f"Matrix({self.ring}, {self.nrows}x{self.ncols})"
@@ -161,14 +131,7 @@ class Matrix:
 
     def scale(self, c: int) -> "Matrix":
         mod = self.ring.modulus
-        entries = {}
-        if self._dense is not None:
-            it = (((i, j), v) for i, row in enumerate(self._dense)
-                  for j, v in enumerate(row) if v)
-        else:
-            it = self._sparse.items()
-        for (i, j), v in it:
-            entries[(i, j)] = (v * c) % mod
+        entries = {ij: (v * c) % mod for ij, v in self._sparse.items()}
         return Matrix(self.ring, self.nrows, self.ncols, entries)
 
     def stack(self, other: "Matrix") -> "Matrix":
@@ -182,13 +145,7 @@ class Matrix:
         return Matrix(self.ring, self.nrows + other.nrows, self.ncols, entries)
 
     def _iter_entries(self):
-        if self._dense is not None:
-            for i, row in enumerate(self._dense):
-                for j, v in enumerate(row):
-                    if v:
-                        yield (i, j), v
-        else:
-            yield from self._sparse.items()
+        return iter(self._sparse.items())
 
 
 class ElementaryDivisors:
@@ -410,23 +367,27 @@ class HowellBasis:
         Returns (residual, coords) with  vec = coords * basis + residual;
         vec is in the span iff residual is empty.
         """
-        ring = self.ring
-        mod = ring.modulus
-        p = ring.p
-        res = {j: v % mod for j, v in vec.items() if v % mod}
-        coords = {}
-        for idx, (c, row, _t, v) in enumerate(self.pivots):
-            x = res.get(c, 0)
-            if x:
-                q = x // p ** v
-                if q % mod:
-                    _sub_scaled(res, row, q, mod)
-                    coords[idx] = q % mod
-        return res, coords
+        return _reduce(self.ring, self.pivots, vec)
 
     def contains(self, vec) -> bool:
         res, _ = self.reduce(vec)
         return not res
+
+
+def _reduce(ring, pivots, vec):
+    """Reduce a row dict against the pivots of ``_howell_engine``."""
+    mod = ring.modulus
+    p = ring.p
+    res = {j: v % mod for j, v in vec.items() if v % mod}
+    coords = {}
+    for idx, (c, row, _t, v) in enumerate(pivots):
+        x = res.get(c, 0)
+        if x:
+            q = x // p ** v
+            if q % mod:
+                _sub_scaled(res, row, q, mod)
+                coords[idx] = q % mod
+    return res, coords
 
 
 def solve_in_rowspace(M: Matrix, b: dict):
@@ -436,21 +397,14 @@ def solve_in_rowspace(M: Matrix, b: dict):
     canonical one obtained by reducing b against the Howell form of M.
     """
     ring = M.ring
-    H, U = howell_form(M)
-    basis = HowellBasis(ring, H)
-    res, coords = basis.reduce(b)
+    transforms = [{i: 1} for i in range(M.nrows)]
+    pivots, _ = _howell_engine(ring, M.row_dicts(), transforms)
+    res, coords = _reduce(ring, pivots, b)
     if res:
         return None
-    u_rows = U.row_dicts()
-    mod = ring.modulus
     x = {}
     for idx, q in coords.items():
-        for j, v in u_rows[idx].items():
-            nv = (x.get(j, 0) + q * v) % mod
-            if nv:
-                x[j] = nv
-            else:
-                x.pop(j, None)
+        _sub_scaled(x, pivots[idx][2], -q, ring.modulus)
     return x
 
 
@@ -459,50 +413,41 @@ def smith_valuations(M: Matrix):
 
     Row and column operations are both allowed over this local ring, so the
     form is diag(p^a1, ..., p^as) with a1 <= ... <= as, returned as a list.
+
+    Sparse elimination on row dicts: pivot on an entry of least valuation v,
+    clear its column with row operations (exact, since p^v divides every
+    entry), then drop the pivot row; the column operations that would clear
+    the rest of that row touch no other row.  The least valuation never
+    decreases, so the scan stops at the first entry whose valuation equals
+    the previous pivot's.
     """
     ring = M.ring
     mod, p = ring.modulus, ring.p
-    A = M.to_dense()
-    nrows, ncols = M.nrows, M.ncols
+    rows = [r for r in M.row_dicts() if r]
     vals = []
-    top = 0
-    while True:
+    floor = 0
+    while rows:
         best = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                a = A[i][j]
-                if a:
-                    v = ring.val(a)
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-                        if v == 0:
-                            break
-            if best is not None and best[0] == 0:
+        for i, row in enumerate(rows):
+            for j, a in row.items():
+                v = ring.val(a)
+                if best is None or v < best[0]:
+                    best = (v, i, j)
+                    if v == floor:
+                        break
+            if best[0] == floor:
                 break
-        if best is None:
-            break
         v, bi, bj = best
-        A[top], A[bi] = A[bi], A[top]
-        for row in A:
-            row[top], row[bj] = row[bj], row[top]
-        u = ring.unit_inverse(A[top][top] // p ** v)
-        A[top] = [(x * u) % mod for x in A[top]]
+        prow = rows.pop(bi)
         piv = p ** v
-        for i in range(top + 1, nrows):
-            x = A[i][top]
+        u = ring.unit_inverse(prow[bj] // piv)
+        for row in rows:
+            x = row.get(bj)
             if x:
-                q = x // piv
-                A[i] = [(a - q * b) % mod for a, b in zip(A[i], A[top])]
-        for j in range(top + 1, ncols):
-            x = A[top][j]
-            if x:
-                q = x // piv
-                for i in range(top, nrows):
-                    A[i][j] = (A[i][j] - q * A[i][top]) % mod
+                _sub_scaled(row, prow, (x // piv) * u, mod)
+        rows = [r for r in rows if r]
         vals.append(v)
-        top += 1
-        if top >= nrows or top >= ncols:
-            break
+        floor = v
     return vals
 
 
@@ -517,7 +462,7 @@ def subquotient(ker_basis: Matrix, im_basis: Matrix) -> ElementaryDivisors:
         raise ValueError("ambient dimension mismatch")
     K = HowellBasis(ring, ker_basis)
     r = len(K)
-    coords_rows = []
+    relations = []
     for i, row in enumerate(im_basis.row_dicts()):
         res, coords = K.reduce(row)
         if res:
@@ -525,22 +470,25 @@ def subquotient(ker_basis: Matrix, im_basis: Matrix) -> ElementaryDivisors:
             raise ContainmentViolation(
                 f"image row {i} is not contained in the kernel span "
                 f"(residual at column {j})", witness=(i, sorted(res.items())))
-        coords_rows.append(coords)
+        relations.append(coords)
     if r == 0:
         return ElementaryDivisors(ring.p, ring.N, [])
-    syz = kernel(K.matrix())
-    rel_entries = {}
-    nrel = 0
-    for row in syz.row_dicts():
-        for j, v in row.items():
-            rel_entries[(nrel, j)] = v
-        nrel += 1
-    for coords in coords_rows:
-        for j, v in coords.items():
-            rel_entries[(nrel, j)] = v
-        nrel += 1
-    rel = Matrix(ring, nrel, r, rel_entries)
-    diag = smith_valuations(rel)
+    # The syzygies of the Howell rows h_1..h_r are generated by one relation
+    # p^(N-v)*e_i - coords_i per row h_i of pivot valuation v > 0, where
+    # p^(N-v)*h_i = coords_i * (rows below h_i) by the Howell property.
+    # Proof: let x be a syzygy and i its first nonzero index.  The rows
+    # below h_i vanish in its pivot column (echelon form), so x_i*p^v = 0
+    # there: p^(N-v) divides x_i, and v > 0.  Subtracting x_i/p^(N-v) times
+    # relation i leaves a syzygy whose first nonzero index is larger.
+    mod, p, N = ring.modulus, ring.p, ring.N
+    for i, (_c, row, _t, v) in enumerate(K.pivots):
+        if v:
+            ann = p ** (N - v)
+            _res, coords = K.reduce({j: a * ann for j, a in row.items()})
+            rel = {j: -q % mod for j, q in coords.items()}
+            rel[i] = ann
+            relations.append(rel)
+    diag = smith_valuations(Matrix.from_row_dicts(ring, relations, r))
     exps = [min(a, ring.N) for a in diag]
     exps += [ring.N] * (r - len(diag))
     return ElementaryDivisors(ring.p, ring.N, exps)

@@ -58,9 +58,9 @@ def cech_descent_check(ring: ZpN, E: int, cover_elements,
 
     ``cover_elements`` are linear polynomials in x, given as coefficient
     dicts {exponent: coefficient}.  The cover is faithfully flat when the
-    elements generate the unit ideal mod p; the check totalizes the Cech
-    double complex of windowed de Rham complexes and compares its
-    cohomology in degrees 0 and 1 with the uncovered line.
+    elements generate the unit ideal mod p; the check takes the total
+    complex of the Cech double complex of windowed de Rham complexes and
+    compares its cohomology in degrees 0 and 1 with the uncovered line.
     """
     name = "cech-descent"
     p = ring.p

@@ -203,3 +203,66 @@ def test_cech_requires_the_line():
         main(["dr", "--p", "2", "--N", "2", "--algebra", "gm",
               "--cech", "x,x-1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("text", [
+    "schema: crystalcalc/1\n",
+    "schema: crystalcalc/1\nkind: morphism\nsource: gm\n",
+])
+def test_bad_presentation_header_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.pres"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["dr", "--p", "3", "--N", "2", "--D", "1", "--E", "3",
+              "--algebra", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: expected 'kind: presentation'")
+    assert err.count("\n") == 1
+
+
+def test_presentation_format_fuzz(tmp_path, capsys):
+    # no window line: a mutated window could ask for an arbitrarily large E
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    base = [ln for ln in PRES_TEXT.splitlines() if not ln.startswith("window")]
+    path = tmp_path / "fuzz.pres"
+    at = st.integers(0, len(base) - 1)
+    edit = st.one_of(
+        st.tuples(st.just("head"), at, st.integers(0, len(base)), st.just("")),
+        st.tuples(st.just("drop"), at, st.integers(0, 0), st.just("")),
+        st.tuples(st.just("cut"), at, st.integers(0, 40), st.just("")),
+        st.tuples(st.just("copy"), at, at, st.just("")),
+        st.tuples(st.just("insert"), at, st.integers(0, 40),
+                  st.text(alphabet="xy1-^*=,;: ", max_size=6)),
+    )
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(st.lists(edit, max_size=3))
+    def run(edits):
+        lines = list(base)
+        for op, i, k, text in edits:
+            i %= max(len(lines), 1)
+            if not lines:
+                break
+            if op == "head":
+                del lines[k:]
+            elif op == "drop":
+                del lines[i]
+            elif op == "cut":
+                lines[i] = lines[i][:k]
+            elif op == "copy":
+                lines.insert(i, lines[k % len(lines)])
+            else:
+                lines[i] = lines[i][:k] + text + lines[i][k:]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            code = main(["dr", "--p", "3", "--N", "2", "--D", "1", "--E", "3",
+                         "--algebra", str(path)])
+        except SystemExit as exc:
+            code = exc.code if exc.code == 2 else ("exit", exc.code)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert code != 2 or err.count("\n") == 1
+
+    run()

@@ -9,7 +9,6 @@ from crystalcalc.derham import (
     FormBasis,
     PFSmObject,
     base_change_check,
-    build_dr,
     graded_cells,
     poincare_check,
     torsion_check,
@@ -30,7 +29,7 @@ R33 = ZpN(3, 3)
 def test_point_interval_complex():
     # base = coefficients only, one interval variable: T^[k] -> T^[k-1] dT
     A = catalog("point", R33)
-    cx = build_dr(PFSmObject(A, 1, D=4))
+    cx = DeRhamComplex(PFSmObject(A, 1, D=4))
     b0 = cx.basis(0)
     b1 = cx.basis(1)
     assert len(b0) == 5      # T^[0..4]
@@ -44,7 +43,7 @@ def test_point_interval_complex():
 
 def test_a1_plain_de_rham():
     A = catalog("a1", R33, E=6)
-    cx = build_dr(PFSmObject(A, 0, D=0))
+    cx = DeRhamComplex(PFSmObject(A, 0, D=0))
     cx.assert_complex()
     # graded degree 3: H^0 = ker(*3) = Z/3 and H^1 = coker(*3) = Z/3;
     # graded degree 4 involves *4, a unit, so both vanish
@@ -56,7 +55,7 @@ def test_a1_plain_de_rham():
 
 def test_gm_de_rham_graded_zero():
     A = catalog("gm", R33, E=6)
-    cx = build_dr(PFSmObject(A, 0, D=0))
+    cx = DeRhamComplex(PFSmObject(A, 0, D=0))
     # the class of dx/x is not exact: graded degree 0 of H^1 is free
     h1 = cx.cohomology(1, 0)
     assert h1.exponents == (3,)
@@ -66,7 +65,7 @@ def test_gm_de_rham_graded_zero():
 
 def test_d_squared_zero_gm_level2():
     A = catalog("gm", R33, E=5)
-    cx = build_dr(PFSmObject(A, 2, D=4))
+    cx = DeRhamComplex(PFSmObject(A, 2, D=4))
     for g in (-2, 0, 3):
         cx.assert_complex(g)
 
@@ -75,7 +74,7 @@ def test_leibniz_seeded():
     # d(fg) = f dg + g df, via multiplication in the coefficient ring
     A = catalog("gm", R33, E=8)
     obj = PFSmObject(A, 1, D=5)
-    cx = build_dr(obj)
+    cx = DeRhamComplex(obj)
     rng = random.Random(3)
     spec = obj.spec
 
@@ -126,7 +125,7 @@ def test_leibniz_seeded():
 
 def test_hypersurface_frame_d_squared():
     A = catalog("ell-3-1-2", R33, E=8)
-    cx = build_dr(PFSmObject(A, 0, D=0))
+    cx = DeRhamComplex(PFSmObject(A, 0, D=0))
     # Omega^1 is free on dy (the x-differential is witness-solved)
     assert all(b.J == (1,) for b in cx.basis(1))
     cx.assert_complex()
@@ -137,7 +136,7 @@ def test_hypersurface_frame_d_squared():
 
 def test_contraction_identity_point_m2():
     A = catalog("point", R33)
-    cx = build_dr(PFSmObject(A, 2, D=4))
+    cx = DeRhamComplex(PFSmObject(A, 2, D=4))
     rep = cx.verify_contraction()
     assert rep.passed, rep.witness
 
@@ -245,6 +244,6 @@ def test_poincare_m3_point():
 
 def test_contraction_m3_with_geometry():
     A = catalog("gm", R33, E=3)
-    cx = build_dr(PFSmObject(A, 3, D=3))
+    cx = DeRhamComplex(PFSmObject(A, 3, D=3))
     rep = cx.verify_contraction(1)
     assert rep.passed, rep.witness

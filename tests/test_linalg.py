@@ -14,6 +14,7 @@ from crystalcalc.linalg import (
     howell_form,
     kernel,
     smith_valuations,
+    solve_in_rowspace,
     subquotient,
 )
 from crystalcalc.ring import ZpN
@@ -111,19 +112,37 @@ def test_howell_idempotent():
         assert H == H2
 
 
-def test_howell_storage_independent():
-    ring = ZpN(3, 2)
-    rows = [[3, 1, 0, 4], [0, 0, 6, 3], [1, 2, 3, 4], [0, 0, 0, 3]]
-    dense_first = Matrix(ring, 4, 4,
-                         {(i, j): v for i, r in enumerate(rows) for j, v in enumerate(r)},
-                         threshold=0.0)
-    sparse_first = Matrix(ring, 4, 4,
-                          {(i, j): v for i, r in enumerate(rows) for j, v in enumerate(r)},
-                          threshold=1.0)
-    assert dense_first._dense is not None and sparse_first._sparse is not None
-    H1, U1 = howell_form(dense_first)
-    H2, U2 = howell_form(sparse_first)
-    assert H1 == H2 and U1 == U2
+def _log_p(size, p):
+    e = 0
+    while p ** e < size:
+        e += 1
+    assert p ** e == size
+    return e
+
+
+@pytest.mark.parametrize("p,N", [(2, 3), (3, 2), (5, 1)])
+def test_smith_valuations_brute_force(p, N):
+    # span(M) is a sum of p^a_i Z/p^N, so log_p |p^k span(M)| is the sum of
+    # max(0, N - a_i - k); its drop from k to k+1 counts the a_i <= N-1-k
+    ring = ZpN(p, N)
+    mod = ring.modulus
+    rng = random.Random(31 * p + N)
+    trials = 16
+    for trial in range(trials):
+        density = trial / (trials - 1)
+        nrows, ncols = rng.randint(1, 3), rng.randint(1, 4)
+        entries = {(i, j): rng.randrange(mod) * rng.choice([1, p])
+                   for i in range(nrows) for j in range(ncols)
+                   if rng.random() < density}
+        M = Matrix(ring, nrows, ncols, entries)
+        span = enumerate_span(ring, M.to_dense(), ncols)
+        logs = [_log_p(len({tuple(v * p ** k % mod for v in s) for s in span}), p)
+                for k in range(N + 1)]
+        at_most = [logs[N - 1 - t] - logs[N - t] for t in range(N)]
+        want = []
+        for t in range(N):
+            want += [t] * (at_most[t] - (at_most[t - 1] if t else 0))
+        assert smith_valuations(M) == want
 
 
 def test_kernel_zero_matrix():
@@ -194,7 +213,7 @@ def test_subquotient_containment_checked():
         subquotient(ker, im)
 
 
-@pytest.mark.parametrize("p,N", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("p,N", [(2, 2), (3, 2), (2, 3)])
 def test_subquotient_matches_brute_force(p, N):
     ring = ZpN(p, N)
     rng = random.Random(17 * p + N)
@@ -296,3 +315,25 @@ def test_kernel_brute_force_N3():
         brute = brute_kernel(ring, M.to_dense(), 3, 3)
         span = enumerate_span(ring, K.to_dense(), 3) if K.nrows else {(0, 0, 0)}
         assert span == brute
+
+
+@pytest.mark.parametrize("p,N", [(2, 3), (3, 2)])
+def test_solve_in_rowspace_brute_force(p, N):
+    ring = ZpN(p, N)
+    mod = ring.modulus
+    rng = random.Random(7 * p + N)
+    for _ in range(12):
+        nrows, ncols = rng.randint(1, 3), rng.randint(1, 3)
+        M = Matrix(ring, nrows, ncols,
+                   {(i, j): rng.randrange(mod) * rng.choice([1, p])
+                    for i in range(nrows) for j in range(ncols)})
+        dense = M.to_dense()
+        span = enumerate_span(ring, dense, ncols)
+        for b in product(range(mod), repeat=ncols):
+            x = solve_in_rowspace(M, {j: v for j, v in enumerate(b) if v})
+            if b not in span:
+                assert x is None
+                continue
+            got = tuple(sum(x.get(i, 0) * dense[i][j] for i in range(nrows)) % mod
+                        for j in range(ncols))
+            assert got == b
