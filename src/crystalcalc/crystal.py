@@ -31,7 +31,12 @@ from .smoothlift import Presentation
 
 
 class DoubleComplex:
-    """Columns 0..M of interval de Rham complexes with face maps."""
+    """Columns 0..M of interval de Rham complexes with face maps.
+
+    Faces, horizontal maps and normalized parts depend only on (m, q, g), so
+    their caches are shared with the views that ``truncated`` hands out; the
+    totalization depends on M and keeps a cache of its own.
+    """
 
     def __init__(self, A: Presentation, M: int, D: int):
         if M > 3:
@@ -44,11 +49,21 @@ class DoubleComplex:
                                 divided=True, variant="interval")
         self._face_cache = {}
         self._hmat_cache = {}
+        self._tot_cache = {}
+
+    def truncated(self, M):
+        """The same double complex cut at column M <= self.M."""
+        view = object.__new__(DoubleComplex)
+        view.__dict__.update(self.__dict__)
+        view.M = M
+        view.columns = self.columns[:M + 1]
+        view._tot_cache = {}
+        return view
 
     # -- face maps on forms ------------------------------------------------
 
     def _face_data(self, m, i):
-        """Substitution images and dT-images of the i-th face at level m."""
+        """Substitution images, dT-images and the T-image cache of a face."""
         key = (m, i)
         if key not in self._face_cache:
             sigma = SimplexMap.coface(m, i)
@@ -65,33 +80,46 @@ class DoubleComplex:
                         raise SignConventionViolation(
                             "face image is not affine linear", witness=img)
                 dt_images[k] = lin
-            self._face_cache[key] = (images, dt_images)
+            self._face_cache[key] = (images, dt_images, {})
         return self._face_cache[key]
+
+    def _t_image(self, m, i, te):
+        """The i-th face of T^[te] at level m: a series in the T's alone."""
+        images, _dt, t_images = self._face_data(m, i)
+        if te not in t_images:
+            spec = self.columns[m].spec
+            mono = PDSeries(spec, {(spec.zero_x(), te): 1})
+            img = pd_substitute(mono, images, self.columns[m - 1].spec)
+            # faces only move interval variables, so they are degree 0
+            for (xe, _te) in img.terms:
+                if any(xe):
+                    raise SignConventionViolation(
+                        "face map is not degree preserving", witness=(te, xe))
+            t_images[te] = img
+        return t_images[te]
 
     def face_matrix(self, m, i, q, g=None) -> Matrix:
         """The i-th face on q-forms, column m to column m-1."""
-        src_cx = self.columns[m]
-        tgt_cx = self.columns[m - 1]
-        src = src_cx.basis(q, g)
-        tgt = tgt_cx.basis(q, g)
+        key = ("f", m, i, q, g)
+        if key not in self._hmat_cache:
+            self._hmat_cache[key] = self._build_face_matrix(m, i, q, g)
+        return self._hmat_cache[key]
+
+    def _build_face_matrix(self, m, i, q, g):
+        src = self.columns[m].basis(q, g)
+        tgt = self.columns[m - 1].basis(q, g)
         index = {b: k for k, b in enumerate(tgt)}
-        images, dt_images = self._face_data(m, i)
-        spec_tgt = tgt_cx.spec
+        _images, dt_images, _t = self._face_data(m, i)
         ring = self.A.ring
         entries = {}
-        homogeneous = self.A.is_homogeneous()
         for r, b in enumerate(src):
-            mono = PDSeries(src_cx.spec, {(b.xe, b.te): 1})
-            coeff = self.A.reduce(pd_substitute(mono, images, spec_tgt))
+            # Faces fix the geometric generators, so x^a T^[b] goes to x^a
+            # times the image of T^[b].  That image has no x, and x^a is a
+            # normal monomial (basis x-parts are), so the product is already
+            # in quotient normal form.
+            coeff = self._t_image(m, i, b.te)
             if coeff.is_zero():
                 continue
-            if homogeneous:
-                # faces only move interval variables, so they are degree 0
-                for (xe, _te) in coeff.terms:
-                    if src_cx.degree(xe) != src_cx.degree(b.xe):
-                        raise SignConventionViolation(
-                            "face map is not degree preserving",
-                            witness=(b, xe))
             # expand the wedge of dT images
             expansions = [((), 1)]
             dead = False
@@ -119,10 +147,9 @@ class DoubleComplex:
                             perm[a], perm[bidx] = perm[bidx], perm[a]
                             sign = -sign
                 newK = tuple(perm)
-                for (xe, te), c in coeff.terms.items():
-                    if sum(te) + len(newK) > self.D:
-                        continue
-                    keyb = FormBasis(xe, te, b.J, newK)
+                for (_xe, te), c in coeff.terms.items():
+                    # the target basis holds only forms within the D cap
+                    keyb = FormBasis(b.xe, te, b.J, newK)
                     idx = index.get(keyb)
                     if idx is None:
                         continue
@@ -254,15 +281,18 @@ class DoubleComplex:
 
     def total_cohomology(self, i, g=None) -> ElementaryDivisors:
         """Cohomology of the normalized truncated totalization at degree i."""
-        n_here = self.normalized_tot_rows(i, g)
-        n_prev = self.normalized_tot_rows(i - 1, g)
-        d_here = self.tot_matrix(i, g)
-        d_prev = self.tot_matrix(i - 1, g)
-        # kernel inside the normalized span: x * (N * d) = 0 -> rows x * N
-        ker_x = kernel(n_here.mul(d_here))
-        ker_rows = ker_x.mul(n_here)
-        im_rows = n_prev.mul(d_prev)
-        return subquotient(ker_rows, im_rows)
+        key = (i, g)
+        if key not in self._tot_cache:
+            n_here = self.normalized_tot_rows(i, g)
+            n_prev = self.normalized_tot_rows(i - 1, g)
+            d_here = self.tot_matrix(i, g)
+            d_prev = self.tot_matrix(i - 1, g)
+            # kernel inside the normalized span: x * (N * d) = 0 -> rows x * N
+            ker_x = kernel(n_here.mul(d_here))
+            ker_rows = ker_x.mul(n_here)
+            im_rows = n_prev.mul(d_prev)
+            self._tot_cache[key] = subquotient(ker_rows, im_rows)
+        return self._tot_cache[key]
 
     def augmentation_is_chain_map(self, g=None) -> CheckReport:
         """Column 0 includes as a subcochain complex of the totalization."""
@@ -329,7 +359,11 @@ def _gkey(g):
 
 def cris(A: Presentation, M: int, D: int, degrees=None, seed=0) -> CohomologyReport:
     """Cohomology of the truncated totalization, per certified graded degree."""
-    dc = DoubleComplex(A, M, D)
+    return _cris(DoubleComplex(A, M, D), degrees, seed)
+
+
+def _cris(dc: DoubleComplex, degrees=None, seed=0) -> CohomologyReport:
+    A, M, D = dc.A, dc.M, dc.D
     q_max = dc.columns[0].max_form_degree()
     degrees = degrees if degrees is not None else range(0, max(q_max, 1) + 1)
     cells = {}
@@ -363,13 +397,17 @@ def compare_dr_cris(A: Presentation, M: int, D: int, seed=0,
     inclusion of column 0, the Moore property, the commuting squares and the
     stabilization against column truncation M-1 are all verified on the way.
     """
+    return _compare_dr_cris(DoubleComplex(A, M, D), strict)
+
+
+def _compare_dr_cris(dc: DoubleComplex, strict: bool = False) -> CheckReport:
+    A, M, D = dc.A, dc.M, dc.D
     if M < 1:
         raise ValueError("comparison needs at least two columns (M >= 1)")
 
     def out(rep):
         return rep.require(ComparisonFailure) if strict else rep
 
-    dc = DoubleComplex(A, M, D)
     reports = []
     q_max = dc.columns[0].max_form_degree()
     gs = graded_cells(A, D)
@@ -407,7 +445,7 @@ def compare_dr_cris(A: Presentation, M: int, D: int, seed=0,
     # stabilization: truncating one column earlier must not change the
     # already-certified degrees
     if M >= 2:
-        dc_prev = DoubleComplex(A, M - 1, D)
+        dc_prev = dc.truncated(M - 1)
         stable = True
         witness = ""
         for g in gs:

@@ -57,6 +57,14 @@ class PrecisionExhausted(CrystalError):
 
 
 # smooth lifting
+class RewriteLoop(ValueError):
+    """The rewrite rules of a presentation do not terminate.
+
+    A ValueError, not a CrystalError: the input is malformed, nothing was
+    checked and found false.
+    """
+
+
 class WitnessNotInvertible(CrystalError):
     pass
 

@@ -320,14 +320,18 @@ def howell_form(M: Matrix):
     return H, U
 
 
+def _kernel_pivots(M: Matrix):
+    """Howell pivots of the left kernel of M, in two engine passes."""
+    transforms = [{i: 1} for i in range(M.nrows)]
+    _, zeros = _howell_engine(M.ring, M.row_dicts(), transforms)
+    if not zeros:
+        return []
+    return _howell_engine(M.ring, zeros)[0]
+
+
 def kernel(M: Matrix) -> Matrix:
     """Howell basis of the left kernel {x : x*M = 0}."""
-    rows = M.row_dicts()
-    transforms = [{i: 1} for i in range(M.nrows)]
-    _, zeros = _howell_engine(M.ring, rows, transforms)
-    if not zeros:
-        return Matrix(M.ring, 0, M.nrows, {})
-    pivots, _ = _howell_engine(M.ring, zeros)
+    pivots = _kernel_pivots(M)
     entries = {}
     for i, (_c, row, _t, _v) in enumerate(pivots):
         for j, v in row.items():
@@ -457,14 +461,18 @@ def subquotient(ker_basis: Matrix, im_basis: Matrix) -> ElementaryDivisors:
     Raises ContainmentViolation when an image row falls outside the kernel
     span, which upstream means a differential whose square is not zero.
     """
-    ring = ker_basis.ring
     if ker_basis.ncols != im_basis.ncols:
         raise ValueError("ambient dimension mismatch")
-    K = HowellBasis(ring, ker_basis)
-    r = len(K)
+    return _subquotient(HowellBasis(ker_basis.ring, ker_basis).pivots, im_basis)
+
+
+def _subquotient(pivots, im_basis: Matrix) -> ElementaryDivisors:
+    """``subquotient`` of a kernel given by its Howell pivots."""
+    ring = im_basis.ring
+    r = len(pivots)
     relations = []
     for i, row in enumerate(im_basis.row_dicts()):
-        res, coords = K.reduce(row)
+        res, coords = _reduce(ring, pivots, row)
         if res:
             j = sorted(res)[0]
             raise ContainmentViolation(
@@ -481,10 +489,11 @@ def subquotient(ker_basis: Matrix, im_basis: Matrix) -> ElementaryDivisors:
     # there: p^(N-v) divides x_i, and v > 0.  Subtracting x_i/p^(N-v) times
     # relation i leaves a syzygy whose first nonzero index is larger.
     mod, p, N = ring.modulus, ring.p, ring.N
-    for i, (_c, row, _t, v) in enumerate(K.pivots):
+    for i, (_c, row, _t, v) in enumerate(pivots):
         if v:
             ann = p ** (N - v)
-            _res, coords = K.reduce({j: a * ann for j, a in row.items()})
+            _res, coords = _reduce(ring, pivots,
+                                   {j: a * ann for j, a in row.items()})
             rel = {j: -q % mod for j, q in coords.items()}
             rel[i] = ann
             relations.append(rel)
@@ -497,10 +506,12 @@ def subquotient(ker_basis: Matrix, im_basis: Matrix) -> ElementaryDivisors:
 def complex_cohomology(d_in: Matrix, d_out: Matrix) -> ElementaryDivisors:
     """Cohomology at the middle of  ._ --d_in--> . --d_out--> ._ .
 
-    Asserts d_in * d_out = 0 before taking the subquotient.
+    Asserts d_in * d_out = 0 before taking the subquotient.  The kernel's
+    pivots are already in Howell form, so they go to the subquotient as they
+    are: two engine passes in all.
     """
     if d_in.ncols != d_out.nrows:
         raise ValueError("complex dimensions do not chain")
     if not d_in.mul(d_out).is_zero():
         raise ContainmentViolation("d after d is not zero", witness=(d_in, d_out))
-    return subquotient(kernel(d_out), d_in)
+    return _subquotient(_kernel_pivots(d_out), d_in)

@@ -19,6 +19,7 @@ from .errors import (
     NotCongruent,
     NotInvertible,
     PrecisionExhausted,
+    RewriteLoop,
     WitnessNotInvertible,
 )
 from .linalg import Matrix, solve_in_rowspace
@@ -130,7 +131,8 @@ class Presentation:
         while pending:
             guard += 1
             if guard > 200000:
-                raise RuntimeError("rewrite loop did not terminate")
+                raise RewriteLoop(
+                    f"rewrite rules of {self.name} do not terminate")
             (xe, te), c = pending.popitem()
             rule = next((r for r in self.rewrites if r.applies(xe)), None)
             if rule is None:

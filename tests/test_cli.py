@@ -266,3 +266,27 @@ def test_presentation_format_fuzz(tmp_path, capsys):
         assert code != 2 or err.count("\n") == 1
 
     run()
+
+
+LOOP_TEXT = """schema: crystalcalc/1
+kind: presentation
+name: loop
+generator: x poly 1
+generator: y poly 1
+relation: x^1=1, y^1=-2 ; lead=x^1
+relation: y^1=1, x^1=-1 ; lead=y^1
+witness: x y
+window: 3
+"""
+
+
+def test_nonterminating_rewrite_exits_2(tmp_path, capsys):
+    # x -> 2y and y -> x each lower their own lead degree, but loop together
+    path = tmp_path / "loop.pres"
+    path.write_text(LOOP_TEXT, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["lift", "--algebra", str(path), "--p", "3", "--N", "2",
+              "--D", "1", "--E", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "usage error: rewrite rules of loop do not terminate\n"

@@ -11,8 +11,13 @@ from crystalcalc.crystal import (
     known_values_check,
     oracle_divisors,
 )
-from crystalcalc.linalg import ElementaryDivisors
+from crystalcalc.cli import main
+from crystalcalc.derham import FormBasis, graded_cells
+from crystalcalc.errors import SignConventionViolation
+from crystalcalc.linalg import ElementaryDivisors, Matrix
 from crystalcalc.ring import ZpN
+from crystalcalc.series import PDSeries, pd_substitute
+from crystalcalc.simplicial import LevelTower, SimplexMap
 from crystalcalc.smoothlift import catalog
 
 R33 = ZpN(3, 3)
@@ -199,3 +204,138 @@ def test_cris_ungraded_hypersurface():
     rep = cris(A, 1, D=2, degrees=range(0, 1))
     assert (0, None) in rep.cells
     assert "H^0 g=all:" in "\n".join(rep.lines())
+
+
+# -- face matrices against a full substitution ---------------------------------
+
+
+def _reference_face_matrix(dc, m, i, q, g):
+    """The i-th face on q-forms, by full substitution of every basis form.
+
+    Each monomial x^a T^[b] goes through ``pd_substitute`` whole (x-part
+    included) and then ``Presentation.reduce``; the dT's are expanded one
+    wedge factor at a time, each new dT_w moved into sorted position.
+    """
+    src_cx, tgt_cx = dc.columns[m], dc.columns[m - 1]
+    src, tgt = src_cx.basis(q, g), tgt_cx.basis(q, g)
+    index = {b: k for k, b in enumerate(tgt)}
+    images = dc.tower.structure_images(SimplexMap.coface(m, i))
+    d_images = {k: {te.index(1): c
+                    for (_xe, te), c in images[f"T{k}"].terms.items()
+                    if sum(te) == 1}
+                for k in range(m)}
+    mod = dc.A.ring.modulus
+    entries = {}
+    for r, b in enumerate(src):
+        mono = PDSeries(src_cx.spec, {(b.xe, b.te): 1})
+        coeff = dc.A.reduce(pd_substitute(mono, images, tgt_cx.spec))
+        wedge = {(): 1}
+        for k in b.K:
+            new = {}
+            for K, s in wedge.items():
+                for w, c in d_images[k].items():
+                    if w in K:
+                        continue
+                    sign = -1 if sum(1 for v in K if v > w) % 2 else 1
+                    key = tuple(sorted(K + (w,)))
+                    new[key] = new.get(key, 0) + sign * s * c
+            wedge = new
+        for K, s in wedge.items():
+            for (xe, te), c in coeff.terms.items():
+                if sum(te) + len(K) > dc.D:
+                    continue
+                idx = index.get(FormBasis(xe, te, b.J, K))
+                if idx is not None:
+                    entries[(r, idx)] = (entries.get((r, idx), 0) + s * c) % mod
+    return Matrix(dc.A.ring, len(src), len(tgt), entries)
+
+
+@pytest.mark.parametrize("name,p,N,D,E,M", [
+    ("gm", 3, 2, 3, 4, 3),
+    ("a1", 2, 3, 3, 4, 3),
+    ("ell-3-1-2", 3, 2, 2, 3, 2),
+])
+def test_face_matrix_matches_full_substitution(name, p, N, D, E, M):
+    A = catalog(name, ZpN(p, N), E=E)
+    dc = DoubleComplex(A, M, D)
+    checked = 0
+    for g in graded_cells(A, D):
+        for m in range(1, M + 1):
+            for q in range(dc.columns[m].max_form_degree() + 1):
+                for i in range(m + 1):
+                    got = dc.face_matrix(m, i, q, g)
+                    assert got == _reference_face_matrix(dc, m, i, q, g), \
+                        (m, i, q, g)
+                    checked += not got.is_zero()
+    assert checked > 0
+
+
+@pytest.mark.parametrize("name", ["gm", "ell-3-1-2"])
+def test_face_with_geometric_image_is_rejected(monkeypatch, name):
+    # a face that moves x is not degree preserving, graded or not
+    original = LevelTower.structure_images
+
+    def moving_x(self, sigma):
+        images = original(self, sigma)
+        img = images["T0"]
+        x = PDSeries.geom_var(img.spec, img.spec.geom[0].name)
+        images["T0"] = img.add(x.scale(self.ring.p))
+        return images
+
+    monkeypatch.setattr(LevelTower, "structure_images", moving_x)
+    A = catalog(name, ZpN(3, 2), E=3)
+    dc = DoubleComplex(A, 1, D=2)
+    g = graded_cells(A, 2)[0]
+    with pytest.raises(SignConventionViolation, match="degree preserving"):
+        dc.face_matrix(1, 1, 0, g)
+
+
+# -- one double complex per comparison ------------------------------------------
+
+
+@pytest.mark.parametrize("name,p,N,E", [("gm", 3, 3, 4), ("a1", 2, 3, 5)])
+def test_truncated_view_matches_fresh_complex(monkeypatch, name, p, N, E):
+    A = catalog(name, ZpN(p, N), E=E)
+    D, M = 3, 2
+    dc = DoubleComplex(A, M, D)
+    gs = graded_cells(A, D)
+    degrees = range(-1, dc.columns[0].max_form_degree() + 2)
+    for g in gs:  # fill the shared caches from the larger complex first
+        for i in degrees:
+            dc.total_cohomology(i, g)
+    view = dc.truncated(M - 1)
+    fresh = DoubleComplex(A, M - 1, D)
+    for g in gs:
+        for i in degrees:
+            assert view.tot_matrix(i, g) == fresh.tot_matrix(i, g), (i, g)
+    # the view totalizes its own M - 1 columns instead of reading M's cells
+    totalized = []
+    tot_matrix = DoubleComplex.tot_matrix
+
+    def recording(self, i, g=None):
+        totalized.append(self)
+        return tot_matrix(self, i, g)
+
+    monkeypatch.setattr(DoubleComplex, "tot_matrix", recording)
+    for g in gs:
+        for i in degrees:
+            totalized.clear()
+            got = view.total_cohomology(i, g)
+            assert view in totalized, (i, g)
+            assert got == fresh.total_cohomology(i, g), (i, g)
+
+
+def test_compare_verb_builds_one_double_complex(monkeypatch, tmp_path):
+    builds = []
+    original = DoubleComplex.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(DoubleComplex, "__init__", counting)
+    out = tmp_path / "compare.txt"
+    code = main(["compare", "--algebra", "gm", "--p", "3", "--N", "2",
+                 "--D", "3", "--E", "4", "--M", "2", "--out", str(out)])
+    assert code == 0
+    assert len(builds) == 1

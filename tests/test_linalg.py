@@ -337,3 +337,37 @@ def test_solve_in_rowspace_brute_force(p, N):
             got = tuple(sum(x.get(i, 0) * dense[i][j] for i in range(nrows)) % mod
                         for j in range(ncols))
             assert got == b
+
+
+def test_complex_cohomology_two_engine_passes(monkeypatch):
+    # the kernel's Howell pivots feed the subquotient directly: two passes
+    import crystalcalc.linalg as linalg
+    ring = ZpN(3, 2)
+    d_in = Matrix.from_rows(ring, [[3, 0]])
+    d_out = Matrix.from_rows(ring, [[3, 0], [0, 0]])
+    passes = []
+    engine = linalg._howell_engine
+
+    def counting(*args, **kwargs):
+        passes.append(1)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_howell_engine", counting)
+    got = complex_cohomology(d_in, d_out)
+    assert len(passes) == 2
+    assert got.exponents == (2,)
+    assert got == subquotient(kernel(d_out), d_in)
+
+
+@pytest.mark.parametrize("p,N", [(2, 3), (3, 2)])
+def test_complex_cohomology_matches_subquotient_of_kernel(p, N):
+    ring = ZpN(p, N)
+    rng = random.Random(100 * p + N)
+    for _ in range(40):
+        n0, n1, n2 = rng.randint(0, 3), rng.randint(1, 4), rng.randint(0, 4)
+        d_out = random_matrix(ring, rng, n1, n2)
+        ker = kernel(d_out)
+        mix = random_matrix(ring, rng, n0, ker.nrows)
+        d_in = mix.mul(ker) if ker.nrows else Matrix.zero(ring, n0, n1)
+        assert complex_cohomology(d_in, d_out) == \
+            subquotient(kernel(d_out), d_in)
