@@ -281,12 +281,18 @@ def run_dr(args):
         cover = [_parse_cover_element(elt) for elt in args.cech.split(",")]
         reports.append(cech_descent_check(ring, args.E, cover))
     report = dr_report(A, args.D, seed=args.seed)
-    status = "pass" if all(r.passed for r in reports) else "fail"
+    if not all(r.passed for r in reports):
+        status = "fail"
+    elif any(r.inconclusive for r in reports):
+        status = "inconclusive"
+    else:
+        status = "pass"
     body = []
     for rep in reports:
         body.extend(rep.lines())
     body.extend(report.lines())
-    witness = next((r.witness for r in reports if not r.passed), "")
+    witness = next((r.witness for r in reports
+                    if not r.passed or r.inconclusive), "")
     return write_report(args, "dr", status, body, witness)
 
 

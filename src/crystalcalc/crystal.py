@@ -21,7 +21,8 @@ stabilization check guards the boundary.
 
 from dataclasses import dataclass, field
 
-from .derham import DeRhamComplex, FormBasis, PFSmObject, graded_cells
+from .derham import (DeRhamComplex, FormBasis, PFSmObject, graded_cells,
+                     _no_certified_cells)
 from .errors import CatalogMismatch, ComparisonFailure, SignConventionViolation
 from .linalg import ElementaryDivisors, Matrix, kernel, subquotient
 from .reports import CheckReport, merge_reports
@@ -207,6 +208,12 @@ class DoubleComplex:
         return out
 
     def tot_matrix(self, i, g=None) -> Matrix:
+        key = ("d", i, g)
+        if key not in self._tot_cache:
+            self._tot_cache[key] = self._build_tot_matrix(i, g)
+        return self._tot_cache[key]
+
+    def _build_tot_matrix(self, i, g):
         src = self.tot_blocks(i)
         tgt = self.tot_blocks(i + 1)
         src_off, src_dim = self._offsets(src, g)
@@ -411,6 +418,8 @@ def _compare_dr_cris(dc: DoubleComplex, strict: bool = False) -> CheckReport:
     reports = []
     q_max = dc.columns[0].max_form_degree()
     gs = graded_cells(A, D)
+    if not gs:
+        return _no_certified_cells(f"compare-{A.name}", A, {"M": M})
     degree_bound = min(M - 1, q_max)
     base = DeRhamComplex(PFSmObject(A, 0, D))
     mismatches = []

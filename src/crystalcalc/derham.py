@@ -91,6 +91,7 @@ class DeRhamComplex:
         self._basis_cache = {}
         self._dmat_cache = {}
         self._xmono_cache = {}
+        self._xdeg = None
 
     # -- monomial content ------------------------------------------------
 
@@ -109,6 +110,14 @@ class DeRhamComplex:
                 xe for xe in xes if self.base.is_normal_monomial(xe))
         return self._xmono_cache[key]
 
+    def _x_by_degree(self):
+        """The window's x-monomials grouped by graded degree, each sorted."""
+        if self._xdeg is None:
+            self._xdeg = {}
+            for xe in self._x_monomials():
+                self._xdeg.setdefault(self.degree(xe), []).append(xe)
+        return self._xdeg
+
     def degree(self, xe):
         return sum(g.weight * e for g, e in zip(self.base.generators, xe))
 
@@ -125,11 +134,11 @@ class DeRhamComplex:
                     continue
                 for J in _subsets(self.free_geom, nj):
                     wJ = sum(self.base.generators[v].weight for v in J)
+                    xes = self._x_monomials() if g is None \
+                        else self._x_by_degree().get(g - wJ, ())
                     for K in _subsets(range(self.npd), nk):
                         for te in t_monomials(self.npd, self.obj.D - nk):
-                            for xe in self._x_monomials():
-                                if g is not None and self.degree(xe) + wJ != g:
-                                    continue
+                            for xe in xes:
                                 out.append(FormBasis(xe, te, J, K))
             self._basis_cache[key] = sorted(out)
         return self._basis_cache[key]
@@ -220,7 +229,9 @@ class DeRhamComplex:
                 continue
             coeff = PDSeries(self.spec, {(tuple(nxe), b.te): b.xe[v]})
             coeff = pres.reduce(coeff)
-            targets = [(v, PDSeries.one(self.spec))] if v in self.free_geom \
+            # a free generator's differential has coefficient one: coeff is
+            # already reduced, so it goes in as it is
+            targets = [(v, None)] if v in self.free_geom \
                 else [(w, fs) for w, fs in sorted(frame.get(v, {}).items())]
             for w, factor in targets:
                 if w in b.J:
@@ -228,7 +239,8 @@ class DeRhamComplex:
                 pos = sum(1 for j in b.J if j < w)
                 sign = -1 if pos % 2 else 1
                 newJ = tuple(sorted(b.J + (w,)))
-                val = pres.reduce(coeff.mul(_embed_spec(factor, self.spec)))
+                val = coeff if factor is None else \
+                    pres.reduce(coeff.mul(_embed_spec(factor, self.spec)))
                 self._distribute(val, newJ, b.K, sign, target_index, row,
                                  self.obj.D, expected)
         # interval part: d(T^[k]) = T^[k-1] dT
@@ -303,26 +315,27 @@ class DeRhamComplex:
         return {idx: sign % self.spec.ring.modulus}
 
     def verify_contraction(self, g=None) -> CheckReport:
-        """d kappa + kappa d = id - (projection to the interval-free part)."""
+        """d kappa + kappa d = id - (projection to the interval-free part).
+
+        The differentials are read from ``dmat``, so the identity is
+        certified on the matrices whose cohomology is compared.
+        """
         name = "poincare-contraction"
         mod = self.spec.ring.modulus
         for q in range(self.max_form_degree() + 1):
             src = self.basis(q, g)
-            up = {b: k for k, b in enumerate(self.basis(q + 1, g))}
+            up_basis = self.basis(q + 1, g)
             down = {b: k for k, b in enumerate(self.basis(q - 1, g))} \
                 if q >= 1 else {}
             idx_src = {b: k for k, b in enumerate(src)}
+            d_out = self.dmat(q, g).row_dicts()
+            d_in = self.dmat(q - 1, g).row_dicts() if q >= 1 else []
             for r, b in enumerate(src):
                 acc = {}
-                if q >= 1:
-                    kb = self.kappa_of_basis(b, down)
-                    down_basis = self.basis(q - 1, g)
-                    for idx, sgn in kb.items():
-                        for j, v in self._d_of_basis(down_basis[idx],
-                                                     idx_src).items():
-                            acc[j] = (acc.get(j, 0) + sgn * v) % mod
-                up_basis = self.basis(q + 1, g)
-                for j, v in self._d_of_basis(b, up).items():
+                for idx, sgn in self.kappa_of_basis(b, down).items():
+                    for j, v in d_in[idx].items():
+                        acc[j] = (acc.get(j, 0) + sgn * v) % mod
+                for j, v in d_out[r].items():
                     for jj, sgn in self.kappa_of_basis(up_basis[j], idx_src).items():
                         acc[jj] = (acc.get(jj, 0) + v * sgn) % mod
                 expected = {}
@@ -386,6 +399,13 @@ def graded_cells(A: Presentation, D: int):
 # -- checks -------------------------------------------------------------------
 
 
+def _no_certified_cells(name, A: Presentation, details) -> CheckReport:
+    """The inconclusive report of a check whose cell set is empty."""
+    return CheckReport(name, True, inconclusive=True,
+                       witness=f"no certified graded cells at window E={A.E}",
+                       details=dict(details, cells=0))
+
+
 def poincare_check(A: Presentation, m: int, D: int,
                    graded: bool = True, strict: bool = False) -> CheckReport:
     """Adjoining interval variables does not change cohomology.
@@ -405,6 +425,8 @@ def poincare_check(A: Presentation, m: int, D: int,
     col = DeRhamComplex(obj_m)
     base = DeRhamComplex(obj_0)
     cells = graded_cells(A, D) if graded else [None]
+    if not cells:
+        return _no_certified_cells(f"poincare-{A.name}-m{m}", A, {"m": m})
     reports = []
     for g in cells:
         col.assert_complex(g)

@@ -10,6 +10,8 @@ Vectors are rows; a matrix acts on the right (x -> x*M), so ``kernel(M)``
 is the left kernel {x : x*M = 0}.
 """
 
+from heapq import heapify, heappop, heappush
+
 from .errors import ContainmentViolation
 from .ring import ZpN
 
@@ -218,12 +220,13 @@ def _scale_row(row, c, mod):
 
 
 def _howell_engine(ring, rows, transforms=None):
-    """Shared engine: echelonize with annihilator closure and reduce above.
+    """Shared engine: echelonize with annihilator closure.
 
-    Returns (pivot list, zero_transforms).  Each pivot is a triple
-    (col, row_dict, transform_dict_or_None); zero_transforms collects the
-    transforms of work rows that reduced to zero (these span the left kernel
-    when the transforms started as unit vectors).
+    Returns (pivots, zero_transforms).  ``pivots`` maps each pivot column to
+    [row_dict, transform_dict_or_None, valuation]; ``_reduce_above`` turns it
+    into the Howell form.  zero_transforms collects the transforms of work
+    rows that reduced to zero (these span the left kernel when the
+    transforms started as unit vectors).
     """
     mod = ring.modulus
     p, N = ring.p, ring.N
@@ -284,31 +287,75 @@ def _howell_engine(ring, rows, transforms=None):
                     _scale_row(atrans, ann, mod)
                 work.append((arow, atrans))
             break
+    return pivots, zero_transforms
 
-    # Howell reduction above the pivots, left to right.
+
+def _reduce_above(ring, pivots):
+    """Howell reduction above the echelon pivots of ``_howell_engine``.
+
+    Returns the pivots ordered by column as (col, row_dict, transform, v).
+    Each pivot row is reduced against the pivots right of it, column by
+    column.  Rows go left to right, so every row is used while it still
+    holds its echelon entries: exactly the subtractions, in the same order,
+    of clearing one pivot column at a time from left to right.
+    """
+    mod, p = ring.modulus, ring.p
+    lead = {c: (c, row, p ** v) for c, (row, _t, v) in pivots.items()}
     cols = sorted(pivots)
-    for c in cols:
-        prow, ptrans, pv = pivots[c]
-        pval = p ** pv
-        for c2 in cols:
-            if c2 >= c:
-                break
-            row2, trans2, _ = pivots[c2]
-            x = row2.get(c, 0)
-            if x:
-                q = x // pval
-                _sub_scaled(row2, prow, q, mod)
-                if track:
-                    _sub_scaled(trans2, ptrans, q, mod)
-    ordered = [(c,) + tuple(pivots[c]) for c in cols]
-    return ordered, zero_transforms
+    for c2 in cols:
+        row2, trans2, _v = pivots[c2]
+        for c, q in _walk(row2, lead, mod, c2):
+            if trans2 is not None:
+                _sub_scaled(trans2, pivots[c][1], q, mod)
+    return [(c,) + tuple(pivots[c]) for c in cols]
+
+
+def _pivot_map(ring, pivots):
+    """col -> (index, row, p^v) of ordered Howell pivots, for ``_walk``."""
+    p = ring.p
+    return {c: (i, row, p ** v) for i, (c, row, _t, v) in enumerate(pivots)}
+
+
+def _walk(res, lead, mod, start=-1):
+    """Reduce ``res`` in place against ``lead``: col -> (key, row, p^v).
+
+    Visits the pivot columns of ``res`` right of ``start`` in ascending
+    order and yields (key, q) for each subtraction  res -= q * row.  A
+    subtraction fills in columns right of its pivot only, so a heap of the
+    pivot columns met so far yields them in order.
+    """
+    heap = [j for j in res if j > start and j in lead]
+    heapify(heap)
+    last = start
+    while heap:
+        c = heappop(heap)
+        if c == last:
+            continue
+        last = c
+        x = res.get(c)
+        if not x:
+            continue
+        key, row, pval = lead[c]
+        q = x // pval
+        if not q:
+            continue
+        for j, v in row.items():
+            old = res.get(j)
+            nv = ((old or 0) - q * v) % mod
+            if nv:
+                res[j] = nv
+                if old is None and j in lead:
+                    heappush(heap, j)
+            elif old is not None:
+                del res[j]
+        yield key, q
 
 
 def howell_form(M: Matrix):
     """Canonical Howell form H of the row span of M, with U such that U*M = H."""
     rows = M.row_dicts()
     transforms = [{i: 1} for i in range(M.nrows)]
-    pivots, _ = _howell_engine(M.ring, rows, transforms)
+    pivots = _reduce_above(M.ring, _howell_engine(M.ring, rows, transforms)[0])
     h_entries, u_entries = {}, {}
     for i, (_c, row, trans, _v) in enumerate(pivots):
         for j, v in row.items():
@@ -321,12 +368,16 @@ def howell_form(M: Matrix):
 
 
 def _kernel_pivots(M: Matrix):
-    """Howell pivots of the left kernel of M, in two engine passes."""
+    """Howell pivots of the left kernel of M, in two engine passes.
+
+    The first pass only collects the zero transforms, so its pivots are
+    never reduced above.
+    """
     transforms = [{i: 1} for i in range(M.nrows)]
     _, zeros = _howell_engine(M.ring, M.row_dicts(), transforms)
     if not zeros:
         return []
-    return _howell_engine(M.ring, zeros)[0]
+    return _reduce_above(M.ring, _howell_engine(M.ring, zeros)[0])
 
 
 def kernel(M: Matrix) -> Matrix:
@@ -342,7 +393,7 @@ def kernel(M: Matrix) -> Matrix:
 class HowellBasis:
     """A Howell form kept as row dicts, for repeated membership queries."""
 
-    __slots__ = ("ring", "ncols", "pivots")
+    __slots__ = ("ring", "ncols", "pivots", "_lead")
 
     def __init__(self, ring, M_or_rows, ncols=None):
         if isinstance(M_or_rows, Matrix):
@@ -354,7 +405,8 @@ class HowellBasis:
                 raise ValueError("ncols required for raw rows")
         self.ring = ring
         self.ncols = ncols
-        self.pivots, _ = _howell_engine(ring, rows)
+        self.pivots = _reduce_above(ring, _howell_engine(ring, rows)[0])
+        self._lead = _pivot_map(ring, self.pivots)
 
     def __len__(self):
         return len(self.pivots)
@@ -371,27 +423,21 @@ class HowellBasis:
         Returns (residual, coords) with  vec = coords * basis + residual;
         vec is in the span iff residual is empty.
         """
-        return _reduce(self.ring, self.pivots, vec)
+        return _reduce(self.ring, self._lead, vec)
 
     def contains(self, vec) -> bool:
         res, _ = self.reduce(vec)
         return not res
 
 
-def _reduce(ring, pivots, vec):
-    """Reduce a row dict against the pivots of ``_howell_engine``."""
+def _reduce(ring, lead, vec):
+    """Reduce a row dict against Howell pivots given by ``_pivot_map``.
+
+    Returns (residual, coords), coords keyed by pivot index.
+    """
     mod = ring.modulus
-    p = ring.p
     res = {j: v % mod for j, v in vec.items() if v % mod}
-    coords = {}
-    for idx, (c, row, _t, v) in enumerate(pivots):
-        x = res.get(c, 0)
-        if x:
-            q = x // p ** v
-            if q % mod:
-                _sub_scaled(res, row, q, mod)
-                coords[idx] = q % mod
-    return res, coords
+    return res, dict(_walk(res, lead, mod))
 
 
 def solve_in_rowspace(M: Matrix, b: dict):
@@ -403,7 +449,8 @@ def solve_in_rowspace(M: Matrix, b: dict):
     ring = M.ring
     transforms = [{i: 1} for i in range(M.nrows)]
     pivots, _ = _howell_engine(ring, M.row_dicts(), transforms)
-    res, coords = _reduce(ring, pivots, b)
+    pivots = _reduce_above(ring, pivots)
+    res, coords = _reduce(ring, _pivot_map(ring, pivots), b)
     if res:
         return None
     x = {}
@@ -470,9 +517,10 @@ def _subquotient(pivots, im_basis: Matrix) -> ElementaryDivisors:
     """``subquotient`` of a kernel given by its Howell pivots."""
     ring = im_basis.ring
     r = len(pivots)
+    lead = _pivot_map(ring, pivots)
     relations = []
     for i, row in enumerate(im_basis.row_dicts()):
-        res, coords = _reduce(ring, pivots, row)
+        res, coords = _reduce(ring, lead, row)
         if res:
             j = sorted(res)[0]
             raise ContainmentViolation(
@@ -492,7 +540,7 @@ def _subquotient(pivots, im_basis: Matrix) -> ElementaryDivisors:
     for i, (_c, row, _t, v) in enumerate(pivots):
         if v:
             ann = p ** (N - v)
-            _res, coords = _reduce(ring, pivots,
+            _res, coords = _reduce(ring, lead,
                                    {j: a * ann for j, a in row.items()})
             rel = {j: -q % mod for j, q in coords.items()}
             rel[i] = ann

@@ -290,3 +290,30 @@ def test_nonterminating_rewrite_exits_2(tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err == "usage error: rewrite rules of loop do not terminate\n"
+
+
+TWO_LAURENT_TEXT = """schema: crystalcalc/1
+kind: presentation
+name: twolaurent
+generator: x laurent 1
+generator: y laurent 1
+window: 3
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--M", "1"],
+    ["dr", "--poincare-m", "1"],
+])
+def test_zero_certified_cells_is_inconclusive(tmp_path, argv):
+    # every graded piece x^a y^(g-a) of the window is clipped: no cell of
+    # either check is certified, so neither may report a pass
+    path = tmp_path / "twolaurent.pres"
+    path.write_text(TWO_LAURENT_TEXT, encoding="utf-8")
+    code, text = run_cli(argv + ["--algebra", str(path), "--p", "3",
+                                 "--N", "2", "--D", "2", "--E", "3"], tmp_path)
+    assert code == 1
+    lines = text.splitlines()
+    assert "status: inconclusive" in lines[:4]
+    assert "witness: no certified graded cells at window E=3" in lines
+    assert "status: pass" not in lines

@@ -325,6 +325,16 @@ def test_truncated_view_matches_fresh_complex(monkeypatch, name, p, N, E):
             assert got == fresh.total_cohomology(i, g), (i, g)
 
 
+def test_tot_matrix_built_once_per_complex():
+    A = catalog("gm", ZpN(3, 2), E=4)
+    dc = DoubleComplex(A, 2, 3)
+    view = dc.truncated(1)
+    for i in range(-2, 2):
+        assert dc.tot_matrix(i, 1) is dc.tot_matrix(i, 1)
+        assert view.tot_matrix(i, 1) is view.tot_matrix(i, 1)
+        assert view.tot_matrix(i, 1) is not dc.tot_matrix(i, 1)
+
+
 def test_compare_verb_builds_one_double_complex(monkeypatch, tmp_path):
     builds = []
     original = DoubleComplex.__init__

@@ -1,6 +1,7 @@
 """De Rham complexes: chain property, contraction, base change, descent."""
 
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -8,13 +9,14 @@ from crystalcalc.derham import (
     DeRhamComplex,
     FormBasis,
     PFSmObject,
+    _embed_spec,
     base_change_check,
     graded_cells,
     poincare_check,
     torsion_check,
 )
 from crystalcalc.errors import NotACover
-from crystalcalc.linalg import ElementaryDivisors
+from crystalcalc.linalg import ElementaryDivisors, Matrix
 from crystalcalc.localized import LocalizedLine, cech_descent_check
 from crystalcalc.ring import ZpN
 from crystalcalc.series import PDSeries
@@ -247,3 +249,113 @@ def test_contraction_m3_with_geometry():
     cx = DeRhamComplex(PFSmObject(A, 3, D=3))
     rep = cx.verify_contraction(1)
     assert rep.passed, rep.witness
+
+
+# -- matrices and bases against their first-principles routes ------------------
+
+
+def _d_row_multiplying_by_one(cx, b, index):
+    """d of one basis form with every coefficient multiplied by its frame
+    factor, PDSeries.one for a free generator, and reduced again."""
+    pres, spec = cx.base, cx.spec
+    expected = None
+    if pres.is_homogeneous():
+        expected = cx.degree(b.xe) + sum(pres.generators[v].weight for v in b.J)
+    row = {}
+    for v in range(cx.ngeom):
+        nxe = list(b.xe)
+        nxe[v] -= 1
+        if not b.xe[v] or not spec.fits_geom(tuple(nxe)):
+            continue
+        coeff = pres.reduce(PDSeries(spec, {(tuple(nxe), b.te): b.xe[v]}))
+        factors = [(v, PDSeries.one(spec))] if v in cx.free_geom \
+            else sorted(cx.frame().get(v, {}).items())
+        for w, factor in factors:
+            if w in b.J:
+                continue
+            sign = -1 if sum(1 for j in b.J if j < w) % 2 else 1
+            val = pres.reduce(coeff.mul(_embed_spec(factor, spec)))
+            cx._distribute(val, tuple(sorted(b.J + (w,))), b.K, sign, index,
+                           row, cx.obj.D, expected)
+    for w in range(cx.npd):
+        if not b.te[w] or w in b.K:
+            continue
+        nte = list(b.te)
+        nte[w] -= 1
+        sign = -1 if (len(b.J) + sum(1 for k in b.K if k < w)) % 2 else 1
+        cx._distribute(PDSeries(spec, {(b.xe, tuple(nte)): 1}), b.J,
+                       tuple(sorted(b.K + (w,))), sign, index, row, cx.obj.D,
+                       expected)
+    return row
+
+
+CELL_CASES = [("gm", ZpN(3, 2), 5, 2, 3, [-2, 0, 1, 4]),
+              ("a1", ZpN(2, 3), 5, 2, 3, [0, 1, 3]),
+              ("ell-3-1-2", ZpN(3, 2), 3, 1, 2, [None])]
+
+
+@pytest.mark.parametrize("name,ring,E,m,D,degrees", CELL_CASES)
+def test_dmat_matches_multiplication_by_one(name, ring, E, m, D, degrees):
+    cx = DeRhamComplex(PFSmObject(catalog(name, ring, E=E), m, D))
+    for g in degrees:
+        for q in range(cx.max_form_degree() + 1):
+            src, tgt = cx.basis(q, g), cx.basis(q + 1, g)
+            index = {b: k for k, b in enumerate(tgt)}
+            rows = [_d_row_multiplying_by_one(cx, b, index) for b in src]
+            assert cx.dmat(q, g) == Matrix.from_row_dicts(ring, rows,
+                                                          len(tgt)), (q, g)
+
+
+@pytest.mark.parametrize("name,ring,E,m,D,degrees", CELL_CASES)
+def test_basis_matches_whole_window_filter(name, ring, E, m, D, degrees):
+    A = catalog(name, ring, E=E)
+    cx = DeRhamComplex(PFSmObject(A, m, D))
+    window = [range(-E if g.kind == "laurent" else 0, E + 1)
+              for g in A.generators]
+    xes = [xe for xe in product(*window) if A.is_normal_monomial(xe)]
+    for q in range(cx.max_form_degree() + 2):
+        forms = []
+        for nj in range(q + 1):
+            for J in combinations(cx.free_geom, nj):
+                for K in combinations(range(m), q - nj):
+                    for te in product(range(D + 1), repeat=m):
+                        if sum(te) + len(K) <= D:
+                            forms += [FormBasis(xe, te, J, K) for xe in xes]
+        assert cx.basis(q) == sorted(forms)
+        for g in degrees + [E + 50]:
+            if g is None:
+                continue
+            want = [b for b in forms if cx.degree(b.xe) + sum(
+                A.generators[v].weight for v in b.J) == g]
+            assert cx.basis(q, g) == sorted(want), (q, g)
+
+
+def test_contraction_fails_on_corrupted_cached_differential():
+    A = catalog("a1", R33, E=4)
+    g = 2
+    cx = DeRhamComplex(PFSmObject(A, 2, D=3))
+    assert cx.verify_contraction(g).passed
+    # corrupt one entry whose target the contraction does not kill
+    src = cx.basis(1, g)
+    tgt = cx.basis(2, g)
+    d = cx.dmat(1, g)
+    index = {b: k for k, b in enumerate(src)}
+    r, j = next((r, j) for (r, j), _v in sorted(d._iter_entries())
+                if cx.kappa_of_basis(tgt[j], index))
+    d._sparse[(r, j)] = (d._sparse[(r, j)] + 1) % R33.modulus
+    rep = cx.verify_contraction(g)
+    assert not rep.passed
+    assert rep.details["q"] == 1
+
+
+def test_contraction_fails_on_flipped_kappa_sign(monkeypatch):
+    A = catalog("gm", R33, E=3)
+    cx = DeRhamComplex(PFSmObject(A, 2, D=3))
+    kappa = DeRhamComplex.kappa_of_basis
+
+    def flipped(self, b, target_index):
+        return {k: -v % R33.modulus
+                for k, v in kappa(self, b, target_index).items()}
+
+    monkeypatch.setattr(DeRhamComplex, "kappa_of_basis", flipped)
+    assert not cx.verify_contraction(1).passed

@@ -1,10 +1,12 @@
 """Howell form / kernel / subquotient against brute-force enumeration."""
 
+import copy
 import random
 from itertools import product
 
 import pytest
 
+from crystalcalc import linalg
 from crystalcalc.errors import ContainmentViolation
 from crystalcalc.linalg import (
     ElementaryDivisors,
@@ -371,3 +373,105 @@ def test_complex_cohomology_matches_subquotient_of_kernel(p, N):
         d_in = mix.mul(ker) if ker.nrows else Matrix.zero(ring, n0, n1)
         assert complex_cohomology(d_in, d_out) == \
             subquotient(kernel(d_out), d_in)
+
+
+# -- the engine against the quadratic reference ---------------------------------
+
+
+def _reference_reduce_above(ring, pivots):
+    """Howell reduction above the pivots: every pivot column, left to right,
+    cleared from every row above it by a scan of all earlier pivots."""
+    mod, p = ring.modulus, ring.p
+    cols = sorted(pivots)
+    for c in cols:
+        prow, ptrans, pv = pivots[c]
+        for c2 in cols:
+            if c2 >= c:
+                break
+            row2, trans2, _ = pivots[c2]
+            x = row2.get(c, 0)
+            if x:
+                q = x // p ** pv
+                linalg._sub_scaled(row2, prow, q, mod)
+                if trans2 is not None:
+                    linalg._sub_scaled(trans2, ptrans, q, mod)
+    return [(c,) + tuple(pivots[c]) for c in cols]
+
+
+def _reference_reduce(ring, pivots, vec):
+    """Reduce a vector by a scan of every pivot in column order."""
+    mod, p = ring.modulus, ring.p
+    res = {j: v % mod for j, v in vec.items() if v % mod}
+    coords = {}
+    for idx, (c, row, _t, v) in enumerate(pivots):
+        x = res.get(c, 0)
+        if x:
+            q = x // p ** v
+            if q % mod:
+                linalg._sub_scaled(res, row, q, mod)
+                coords[idx] = q % mod
+    return res, coords
+
+
+def _reference_howell(ring, rows, transforms=None):
+    pivots, zeros = linalg._howell_engine(ring, copy.deepcopy(rows),
+                                          copy.deepcopy(transforms))
+    return _reference_reduce_above(ring, pivots), zeros
+
+
+def _scaled_random_rows(ring, rng, nrows, ncols):
+    """Random sparse rows, some multiplied through by a power of p."""
+    rows = []
+    for _ in range(nrows):
+        density = rng.choice((0.1, 0.3, 0.7))
+        row = {j: rng.randrange(1, ring.modulus) for j in range(ncols)
+               if rng.random() < density}
+        scale = ring.p ** rng.randrange(ring.N) if rng.random() < 0.4 else 1
+        rows.append({j: v * scale % ring.modulus for j, v in row.items()
+                     if v * scale % ring.modulus})
+    return rows
+
+
+@pytest.mark.parametrize("p,N", [(2, 3), (3, 2), (5, 1), (3, 3)])
+def test_engine_matches_quadratic_reference(p, N):
+    ring = ZpN(p, N)
+    rng = random.Random(1000 * p + N)
+    for _ in range(120):
+        nrows, ncols = rng.randint(0, 9), rng.randint(1, 9)
+        rows = _scaled_random_rows(ring, rng, nrows, ncols)
+        for transforms in (None, [{i: 1} for i in range(nrows)]):
+            want = _reference_howell(ring, rows, transforms)
+            echelon, zeros = linalg._howell_engine(
+                ring, copy.deepcopy(rows), copy.deepcopy(transforms))
+            zeros_before = copy.deepcopy(zeros)
+            got = linalg._reduce_above(ring, echelon)
+            # pivots, transforms and zero transforms; the zero transforms are
+            # not aliased to pivot transforms that the reduction changes
+            assert got == want[0]
+            assert zeros == zeros_before == want[1]
+        M = Matrix.from_row_dicts(ring, rows, ncols)
+        units = [{i: 1} for i in range(nrows)]
+        ref_pivots, ref_zeros = _reference_howell(ring, rows, units)
+        # kernel: the Howell form of the zero transforms
+        ker_pivots = _reference_howell(ring, ref_zeros)[0]
+        assert kernel(M) == Matrix.from_row_dicts(
+            ring, [row for _c, row, _t, _v in ker_pivots], nrows)
+        basis = HowellBasis(ring, rows, ncols)
+        for _ in range(4):
+            vec = _scaled_random_rows(ring, rng, 1, ncols)[0]
+            if ref_pivots and rng.random() < 0.5:
+                # a vector of the span, so that it reduces to zero
+                vec = {}
+                for _c, row, _t, _v in ref_pivots:
+                    linalg._sub_scaled(vec, row, rng.randrange(ring.modulus),
+                                       ring.modulus)
+            res, coords = _reference_reduce(ring, ref_pivots, vec)
+            got_res, got_coords = basis.reduce(vec)
+            assert (got_res, got_coords) == (res, coords)
+            assert list(got_coords) == list(coords)
+            x = None
+            if not res:
+                x = {}
+                for idx, q in coords.items():
+                    linalg._sub_scaled(x, ref_pivots[idx][2], -q, ring.modulus)
+            assert solve_in_rowspace(M, vec) == x
