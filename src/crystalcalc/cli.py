@@ -281,19 +281,12 @@ def run_dr(args):
         cover = [_parse_cover_element(elt) for elt in args.cech.split(",")]
         reports.append(cech_descent_check(ring, args.E, cover))
     report = dr_report(A, args.D, seed=args.seed)
-    if not all(r.passed for r in reports):
-        status = "fail"
-    elif any(r.inconclusive for r in reports):
-        status = "inconclusive"
-    else:
-        status = "pass"
+    merged = merge_reports("dr", reports)
     body = []
     for rep in reports:
         body.extend(rep.lines())
     body.extend(report.lines())
-    witness = next((r.witness for r in reports
-                    if not r.passed or r.inconclusive), "")
-    return write_report(args, "dr", status, body, witness)
+    return write_report(args, "dr", merged.status(), body, merged.witness)
 
 
 def _parse_cover_element(text):

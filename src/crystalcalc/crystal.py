@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .derham import (DeRhamComplex, FormBasis, PFSmObject, graded_cells,
                      _no_certified_cells)
-from .errors import CatalogMismatch, ComparisonFailure, SignConventionViolation
+from .errors import CatalogMismatch, SignConventionViolation
 from .linalg import ElementaryDivisors, Matrix, kernel, subquotient
 from .reports import CheckReport, merge_reports
 from .series import PDSeries, pd_substitute
@@ -396,32 +396,26 @@ def dr_report(A: Presentation, D: int, seed=0) -> CohomologyReport:
                             seed=seed, cells=cells)
 
 
-def compare_dr_cris(A: Presentation, M: int, D: int, seed=0,
-                    strict: bool = False) -> CheckReport:
+def compare_dr_cris(A: Presentation, M: int, D: int) -> CheckReport:
     """Plain de Rham equals the totalization of the interval construction.
 
     Certified in total degrees up to M-1 per graded degree; the chain-map
     inclusion of column 0, the Moore property, the commuting squares and the
     stabilization against column truncation M-1 are all verified on the way.
     """
-    return _compare_dr_cris(DoubleComplex(A, M, D), strict)
+    return _compare_dr_cris(DoubleComplex(A, M, D))
 
 
-def _compare_dr_cris(dc: DoubleComplex, strict: bool = False) -> CheckReport:
+def _compare_dr_cris(dc: DoubleComplex) -> CheckReport:
     A, M, D = dc.A, dc.M, dc.D
     if M < 1:
         raise ValueError("comparison needs at least two columns (M >= 1)")
-
-    def out(rep):
-        return rep.require(ComparisonFailure) if strict else rep
-
     reports = []
     q_max = dc.columns[0].max_form_degree()
     gs = graded_cells(A, D)
     if not gs:
         return _no_certified_cells(f"compare-{A.name}", A, {"M": M})
     degree_bound = min(M - 1, q_max)
-    base = DeRhamComplex(PFSmObject(A, 0, D))
     mismatches = []
     structural_ok = True
     for g in gs:
@@ -431,11 +425,11 @@ def _compare_dr_cris(dc: DoubleComplex, strict: bool = False) -> CheckReport:
                 reports.append(rep)
                 structural_ok = False
         if not structural_ok:
-            return out(merge_reports(f"compare-{A.name}", reports))
+            return merge_reports(f"compare-{A.name}", reports)
         dc.assert_total_complex(g)
         for i in range(degree_bound + 1):
             got = dc.total_cohomology(i, g)
-            want = base.cohomology(i, g)
+            want = dc.columns[0].cohomology(i, g)
             if got != want:
                 mismatches.append((i, g, list(want.exponents),
                                    list(got.exponents)))
@@ -447,7 +441,7 @@ def _compare_dr_cris(dc: DoubleComplex, strict: bool = False) -> CheckReport:
             "divisor-comparison", False,
             witness=f"degree {i}, graded {g}: direct {want} vs totalization {got}",
             details={"mismatches": len(mismatches)}))
-        return out(merge_reports(f"compare-{A.name}", reports))
+        return merge_reports(f"compare-{A.name}", reports)
     reports.append(CheckReport("divisor-comparison", True,
                                details={"degrees": degree_bound + 1,
                                         "cells": len(gs)}))
@@ -468,7 +462,7 @@ def _compare_dr_cris(dc: DoubleComplex, strict: bool = False) -> CheckReport:
         reports.append(CheckReport("stabilization", stable, witness=witness,
                                    details={"from": M - 1, "to": M}))
         if not stable:
-            return out(merge_reports(f"compare-{A.name}", reports))
+            return merge_reports(f"compare-{A.name}", reports)
     elif M == 1:
         reports.append(CheckReport("stabilization", True,
                                    details={"note": "single step, degree 0 only"}))

@@ -18,7 +18,7 @@ uncertified rather than silently truncated.
 
 from typing import NamedTuple
 
-from .errors import BaseChangeMismatch, CapsTooSmall, MismatchWitness, TorsionWitness
+from .errors import CapsTooSmall
 from .linalg import (
     ElementaryDivisors,
     HowellBasis,
@@ -406,25 +406,22 @@ def _no_certified_cells(name, A: Presentation, details) -> CheckReport:
                        details=dict(details, cells=0))
 
 
-def poincare_check(A: Presentation, m: int, D: int,
-                   graded: bool = True, strict: bool = False) -> CheckReport:
+def poincare_check(A: Presentation, m: int, D: int) -> CheckReport:
     """Adjoining interval variables does not change cohomology.
 
     Certifies the explicit integration contraction and then compares the
     elementary divisors of the level-m and level-0 complexes per certified
     graded degree.
     """
+    if m < 0:
+        raise ValueError("m must be >= 0")
     if m > 3:
         raise ValueError("m above 3 is not certified (cost control)")
-
-    def out(rep):
-        return rep.require(MismatchWitness) if strict else rep
-
     obj_m = PFSmObject(A, m, D)
     obj_0 = PFSmObject(A, 0, D)
     col = DeRhamComplex(obj_m)
     base = DeRhamComplex(obj_0)
-    cells = graded_cells(A, D) if graded else [None]
+    cells = graded_cells(A, D)
     if not cells:
         return _no_certified_cells(f"poincare-{A.name}-m{m}", A, {"m": m})
     reports = []
@@ -433,7 +430,7 @@ def poincare_check(A: Presentation, m: int, D: int,
         base.assert_complex(g)
         reports.append(col.verify_contraction(g))
         if not reports[-1].passed:
-            return out(merge_reports(f"poincare-{A.name}-m{m}", reports))
+            return merge_reports(f"poincare-{A.name}-m{m}", reports)
         for q in range(col.max_form_degree() + 1):
             got = col.cohomology(q, g)
             want = base.cohomology(q, g) if q <= base.max_form_degree() \
@@ -445,14 +442,13 @@ def poincare_check(A: Presentation, m: int, D: int,
                     details={"q": q, "graded": g,
                              "got": list(got.exponents),
                              "want": list(want.exponents)}))
-                return out(merge_reports(f"poincare-{A.name}-m{m}", reports))
+                return merge_reports(f"poincare-{A.name}-m{m}", reports)
     reports.append(CheckReport("poincare-divisors", True,
                                details={"cells": len(cells), "m": m}))
     return merge_reports(f"poincare-{A.name}-m{m}", reports)
 
 
-def torsion_check(ring: ZpN, rank: int, relation_rows=None,
-                  strict: bool = False) -> CheckReport:
+def torsion_check(ring: ZpN, rank: int, relation_rows=None) -> CheckReport:
     """Multiplication by p is injective from precision N-1 representatives.
 
     The module is (Z/p^N)^rank modulo the span of ``relation_rows`` (none
@@ -478,33 +474,22 @@ def torsion_check(ring: ZpN, rank: int, relation_rows=None,
         f_part = {j: v for j, v in row.items() if j < rank}
         if f_part and not hb.contains(f_part):
             j = sorted(f_part)[0]
-            rep = CheckReport(name, False,
-                              witness=f"p-torsion class supported at column {j}",
-                              details={"rank": rank})
-            return rep.require(TorsionWitness) if strict else rep
+            return CheckReport(name, False,
+                               witness=f"p-torsion class supported at column {j}",
+                               details={"rank": rank})
     return CheckReport(name, True, details={"rank": rank})
 
 
-def base_change_check(A: Presentation, m: int, D: int,
-                      strict: bool = False) -> CheckReport:
+def base_change_check(A: Presentation, m: int, D: int) -> CheckReport:
     """Windowed torsion-freeness plus the mod-p basis-to-basis comparison."""
     obj = PFSmObject(A, m, D)
     cx = DeRhamComplex(obj)
-
-    def out(rep):
-        if strict and not rep.passed:
-            exc = TorsionWitness if "torsion" in rep.witness.lower() \
-                else BaseChangeMismatch
-            rep.require(exc)
-        return rep
-
     reports = []
     for q in range(cx.max_form_degree() + 1):
         rank = len(cx.basis(q))
-        rep = torsion_check(A.ring, rank, strict=strict)
+        rep = torsion_check(A.ring, rank)
         if not rep.passed:
-            return out(merge_reports(f"base-change-{A.name}-m{m}",
-                                     reports + [rep]))
+            return merge_reports(f"base-change-{A.name}-m{m}", reports + [rep])
     reports.append(CheckReport("pi-torsion-free", True,
                                details={"m": m, "degrees": cx.max_form_degree() + 1}))
 
@@ -513,17 +498,17 @@ def base_change_check(A: Presentation, m: int, D: int,
     p = A.ring.p
     for q in range(cx.max_form_degree() + 1):
         if cx.basis(q) != small.basis(q):
-            return out(merge_reports(f"base-change-{A.name}-m{m}", reports + [
+            return merge_reports(f"base-change-{A.name}-m{m}", reports + [
                 CheckReport("mod-p-identification", False,
-                            witness=f"basis mismatch in form degree {q}")]))
+                            witness=f"basis mismatch in form degree {q}")])
         big = cx.dmat(q)
         got = {(i, j): v % p for (i, j), v in big._iter_entries() if v % p}
         want = dict(small.dmat(q)._iter_entries())
         if got != want:
-            return out(merge_reports(f"base-change-{A.name}-m{m}", reports + [
+            return merge_reports(f"base-change-{A.name}-m{m}", reports + [
                 CheckReport("mod-p-identification", False,
                             witness=f"differential mismatch mod p in degree {q}",
-                            details={"q": q})]))
+                            details={"q": q})])
     reports.append(CheckReport("mod-p-identification", True, details={"m": m}))
     return merge_reports(f"base-change-{A.name}-m{m}", reports)
 

@@ -1,7 +1,11 @@
-"""Error types raised by the mathematical checks.
+"""Error types raised when a structure cannot be built.
 
-Every failure carries a reproducible witness (a monomial, a matrix row, a
-degree) so reports can point at the exact violation.
+The checks never raise on a failed certification: each returns a
+``CheckReport`` whose status is ``fail``, ``inconclusive`` or ``pass``, in
+that order of precedence, and a caller that wants an exception reads its
+``passed``.  A ``CrystalError`` means that a lift, a filler, a homotopy, a
+complex or a stored reference could not be built at all; it carries a
+reproducible witness (a monomial, a matrix row, a degree) where one exists.
 """
 
 
@@ -36,18 +40,6 @@ class NotInvertible(CrystalError):
 
 
 # simplicial site
-class IdentityViolation(CrystalError):
-    pass
-
-
-class KernelMismatch(CrystalError):
-    pass
-
-
-class RegularityFailure(CrystalError):
-    pass
-
-
 class IncompatibleFaces(CrystalError):
     pass
 
@@ -82,27 +74,11 @@ class CapsTooSmall(CrystalError):
     pass
 
 
-class TorsionWitness(CrystalError):
-    pass
-
-
-class BaseChangeMismatch(CrystalError):
-    pass
-
-
 class NotACover(CrystalError):
     pass
 
 
-class MismatchWitness(CrystalError):
-    pass
-
-
 # crystalline comparison
-class ComparisonFailure(CrystalError):
-    pass
-
-
 class CatalogMismatch(CrystalError):
     pass
 

@@ -13,7 +13,7 @@ differential never truncates.
 
 from itertools import combinations
 
-from .errors import MismatchWitness, NotACover
+from .errors import NotACover
 from .linalg import Matrix, complex_cohomology
 from .reports import CheckReport, merge_reports
 from .ring import ZpN
@@ -52,8 +52,7 @@ class LocalizedLine:
         return {("pole", i, j + 1): -j}
 
 
-def cech_descent_check(ring: ZpN, E: int, cover_elements,
-                       strict: bool = False) -> CheckReport:
+def cech_descent_check(ring: ZpN, E: int, cover_elements) -> CheckReport:
     """Descent along a Zariski localization cover of the affine line.
 
     ``cover_elements`` are linear polynomials in x, given as coefficient
@@ -194,13 +193,12 @@ def cech_descent_check(ring: ZpN, E: int, cover_elements,
             Matrix.zero(ring, 0, want_out.nrows)
         want = complex_cohomology(want_in, want_out)
         if got != want:
-            failing = merge_reports(name, reports + [CheckReport(
+            return merge_reports(name, reports + [CheckReport(
                 "cech-degree", False,
                 witness=f"H^{degree}: {got} != {want}",
                 details={"degree": degree,
                          "got": list(got.exponents),
                          "want": list(want.exponents)})])
-            return failing.require(MismatchWitness) if strict else failing
         reports.append(CheckReport(f"cech-degree-{degree}", True,
                                    details={"divisors": list(got.exponents)}))
     return merge_reports(name, reports)

@@ -15,18 +15,11 @@ class CheckReport:
     witness: str = ""
     details: dict = field(default_factory=dict)
 
-    def require(self, exc_cls=AssertionError):
-        """Raise the given error (with the witness) unless the check passed."""
-        if not self.passed:
-            if exc_cls is AssertionError:
-                raise AssertionError(f"{self.name} failed: {self.witness}")
-            raise exc_cls(f"{self.name}: {self.witness}", witness=self.details)
-        return self
-
     def status(self) -> str:
-        if self.inconclusive:
-            return "inconclusive"
-        return "pass" if self.passed else "fail"
+        """fail outranks inconclusive, which outranks pass."""
+        if not self.passed:
+            return "fail"
+        return "inconclusive" if self.inconclusive else "pass"
 
     def lines(self):
         out = [f"check: {self.name}", f"status: {self.status()}"]
@@ -41,9 +34,14 @@ class CheckReport:
 
 
 def merge_reports(name, reports):
+    """One report over several: the status is the worst of theirs, and the
+    witness is that of the first failed report, or if none failed, of the
+    first inconclusive one."""
     passed = all(r.passed for r in reports)
     inconclusive = any(r.inconclusive for r in reports)
-    witness = next((r.witness for r in reports if not r.passed and r.witness), "")
+    worst = [r for r in reports if not r.passed] or \
+        [r for r in reports if r.inconclusive]
+    witness = next((r.witness for r in worst if r.witness), "")
     details = {}
     for i, r in enumerate(reports):
         details[f"{i:03d}:{r.name}"] = r.status()

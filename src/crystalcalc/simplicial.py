@@ -18,13 +18,7 @@ every structure map fixes; the mapping-space fillers reuse the same code.
 
 from itertools import permutations
 
-from .errors import (
-    IdentityViolation,
-    IncompatibleFaces,
-    KernelMismatch,
-    PrecisionExhausted,
-    RegularityFailure,
-)
+from .errors import IncompatibleFaces, PrecisionExhausted
 from .linalg import HowellBasis, Matrix, kernel, solve_in_rowspace
 from .reports import CheckReport, merge_reports
 from .ring import ZpN
@@ -246,15 +240,19 @@ class LevelTower:
 
 def verify_simplicial_identities(ring: ZpN, D: int, m_max: int,
                                  variant: str = "interval",
-                                 tamper=None, strict: bool = False) -> CheckReport:
+                                 tamper=None) -> CheckReport:
     """Check the face/degeneracy relations levelwise up to m_max.
 
     Compares composed structure morphisms on every free generator.  The
     optional ``tamper=(kind, m, i)`` hook corrupts one structure map, as a
     negative control that the comparison actually bites.
     """
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
     if m_max > 4:
         raise ValueError("m_max above 4 is not certified (cost control)")
+    if D < 1:
+        raise ValueError("D must be >= 1: the interval variables need degree 1")
     tower = LevelTower(ring, D, variant=variant)
 
     def images_of(kind, m, i):
@@ -344,8 +342,6 @@ def verify_simplicial_identities(ring: ZpN, D: int, m_max: int,
                             f"augmentation broken by {kind}{i} at level {m} on {name}")
 
     if failures:
-        if strict:
-            raise IdentityViolation(failures[0], witness=failures)
         return CheckReport("simplicial-identities", False,
                            witness=failures[0],
                            details={"failures": len(failures),
@@ -378,8 +374,14 @@ def faces_compatible(tower: LevelTower, m: int, faces) -> bool:
     return True
 
 
-def verify_boundary_kernel(p: int, N: int, D: int, m: int,
-                           strict: bool = False) -> CheckReport:
+def _window_too_small(name, m: int, D: int) -> CheckReport:
+    """The inconclusive report of a check that needs the product T_0...T_m."""
+    return CheckReport(name, True, inconclusive=True,
+                       witness=f"window D={D} cannot hold the degree-{m+1} product",
+                       details={"m": m, "D": D})
+
+
+def verify_boundary_kernel(p: int, N: int, D: int, m: int) -> CheckReport:
     """Certify: a level-m element has all faces zero iff the full variable
     product divides it.
 
@@ -390,16 +392,10 @@ def verify_boundary_kernel(p: int, N: int, D: int, m: int,
     of exact product multiples.
     """
     name = "boundary-kernel"
-
-    def out(rep):
-        return rep.require(KernelMismatch) if strict else rep
-
     if m < 1:
         raise ValueError("m >= 1 required")
     if D < m + 1:
-        return CheckReport(name, True, inconclusive=True,
-                           witness=f"window D={D} cannot hold the degree-{m+1} product",
-                           details={"m": m, "D": D})
+        return _window_too_small(name, m, D)
     buffered = ZpN(p, N + D + m + 1)
     tower = LevelTower(buffered, D)
     basis_m = tower.basis(m)
@@ -425,10 +421,10 @@ def verify_boundary_kernel(p: int, N: int, D: int, m: int,
         # every face of a product multiple must vanish exactly
         for i in range(m + 1):
             if not tower.face(m, i, row_series).is_zero():
-                return out(CheckReport(name, False,
-                                       witness=f"product multiple {mu} has "
-                                               f"nonzero face {i}",
-                                       details={"m": m}))
+                return CheckReport(name, False,
+                                   witness=f"product multiple {mu} has "
+                                           f"nonzero face {i}",
+                                   details={"m": m})
         ideal_rows.append(tower.series_to_vector(m, row_series))
 
     ker = kernel(face_matrix)
@@ -449,17 +445,17 @@ def verify_boundary_kernel(p: int, N: int, D: int, m: int,
     for row in hb_ker.rows():
         if not hb_ideal.contains(row):
             te = basis_m[sorted(row)[0]]
-            return out(CheckReport(name, False,
-                                   witness=f"kernel element at monomial {te} "
-                                           f"is not a product multiple",
-                                   details={"m": m, "D": D, "N": N}))
+            return CheckReport(name, False,
+                               witness=f"kernel element at monomial {te} "
+                                       f"is not a product multiple",
+                               details={"m": m, "D": D, "N": N})
     for row in hb_ideal.rows():
         if not hb_ker.contains(row):
             te = basis_m[sorted(row)[0]]
-            return out(CheckReport(name, False,
-                                   witness=f"product multiple at monomial {te} "
-                                           f"escapes the face kernel",
-                                   details={"m": m, "D": D, "N": N}))
+            return CheckReport(name, False,
+                               witness=f"product multiple at monomial {te} "
+                                       f"escapes the face kernel",
+                               details={"m": m, "D": D, "N": N})
     return CheckReport(name, True,
                        details={"m": m, "D": D, "N": N,
                                 "buffer": buffered.N - N,
@@ -470,8 +466,7 @@ def verify_boundary_kernel(p: int, N: int, D: int, m: int,
 
 
 def check_regular_sequence(p: int, N: int, D: int, m: int, perm,
-                           boundary_quotient: bool = False,
-                           strict: bool = False) -> CheckReport:
+                           boundary_quotient: bool = False) -> CheckReport:
     """Windowed regularity of the permuted interval variables at level m.
 
     Stage j multiplies by the j-th sequence element on the quotient by the
@@ -482,10 +477,6 @@ def check_regular_sequence(p: int, N: int, D: int, m: int, perm,
     the ring modulo the full variable product, where it must fail.
     """
     name = "regular-sequence"
-
-    def out(rep):
-        return rep.require(RegularityFailure) if strict else rep
-
     if m > 3:
         raise ValueError("m above 3 is not certified (cost control)")
     perm = tuple(perm)
@@ -545,10 +536,10 @@ def check_regular_sequence(p: int, N: int, D: int, m: int, perm,
                 j = sorted(f_part)[0]
                 witness = (f"stage {stage} (element T{perm[stage]}): class at "
                            f"monomial {basis[j]} is killed but nonzero")
-                return out(CheckReport(name, False, witness=witness,
-                                       details={"m": m, "perm": perm,
-                                                "stage": stage,
-                                                "boundary_quotient": boundary_quotient}))
+                return CheckReport(name, False, witness=witness,
+                                   details={"m": m, "perm": perm,
+                                            "stage": stage,
+                                            "boundary_quotient": boundary_quotient})
         # extend the previous ideal with this element's multiples; products
         # with deg <= D-1 inputs never truncate, so the spans are exact
         for te in basis:
@@ -567,13 +558,18 @@ def regular_sequence_suite(p: int, N: int, D: int, m: int) -> CheckReport:
     reports = []
     for perm in permutations(range(m + 1)):
         reports.append(check_regular_sequence(p, N, D, m, perm))
-    neg = check_regular_sequence(p, N, D, m, tuple(range(m + 1)),
-                                 boundary_quotient=True)
-    ok_neg = not neg.passed
-    reports.append(CheckReport("boundary-ring-negative-control", ok_neg,
-                               witness="" if ok_neg else
-                               "zero divisors went undetected",
-                               details={"expected_failure": neg.witness}))
+    control = "boundary-ring-negative-control"
+    if D < m + 1:
+        # the quotient by a product the window cannot hold is the plain ring
+        reports.append(_window_too_small(control, m, D))
+    else:
+        neg = check_regular_sequence(p, N, D, m, tuple(range(m + 1)),
+                                     boundary_quotient=True)
+        ok_neg = not neg.passed
+        reports.append(CheckReport(control, ok_neg,
+                                   witness="" if ok_neg else
+                                   "zero divisors went undetected",
+                                   details={"expected_failure": neg.witness}))
     return merge_reports(f"regular-sequences-m{m}", reports)
 
 

@@ -438,7 +438,7 @@ class Morphism:
                         D=self.D, prec=self.prec, validate=False)
 
 
-def newton_correct(phi: Morphism, max_steps=None) -> Morphism:
+def newton_correct(phi: Morphism) -> Morphism:
     """Drive the relation residuals of phi to zero by witness-minor Newton.
 
     Corrections are multiples of the current residuals, so they vanish
@@ -453,8 +453,7 @@ def newton_correct(phi: Morphism, max_steps=None) -> Morphism:
     cols = [src.gen_names.index(w) for w in src.witness]
     jac = src.jacobian_polys()
     images = dict(phi.images)
-    steps = max_steps if max_steps is not None else \
-        (tgt.ring.N.bit_length() + phi.D + 4)
+    steps = tgt.ring.N.bit_length() + phi.D + 4
 
     def residuals(imgs):
         return [tgt.reduce(evaluate_poly(src.relations[i], tgt, imgs, spec))

@@ -13,6 +13,7 @@ from crystalcalc.cli import (
     parse_morphism,
     parse_presentation,
 )
+from crystalcalc.reports import CheckReport, merge_reports
 from crystalcalc.ring import ZpN
 
 
@@ -317,3 +318,32 @@ def test_zero_certified_cells_is_inconclusive(tmp_path, argv):
     assert "status: inconclusive" in lines[:4]
     assert "witness: no certified graded cells at window E=3" in lines
     assert "status: pass" not in lines
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dr", "--algebra", "a1", "--poincare-m", "-1"], "m must be >= 0"),
+    (["verify-simplicial", "--m-max", "-1"], "m_max must be >= 0"),
+    (["verify-simplicial", "--D", "0"], "D must be >= 1"),
+])
+def test_out_of_range_level_exits_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--p", "3"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"usage error: {message}")
+    assert out.err.count("\n") == 1
+
+
+def test_fail_outranks_inconclusive():
+    failed = CheckReport("a", False, witness="a failed")
+    unsure = CheckReport("b", True, inconclusive=True, witness="b unsure")
+    both = CheckReport("c", False, inconclusive=True, witness="c failed")
+    assert both.status() == "fail"
+    for parts in ([unsure, failed], [failed, unsure]):
+        merged = merge_reports("m", parts)
+        assert merged.status() == "fail"
+        assert merged.witness == "a failed"
+    merged = merge_reports("m", [CheckReport("ok", True), unsure])
+    assert merged.status() == "inconclusive"
+    assert merged.witness == "b unsure"

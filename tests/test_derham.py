@@ -231,13 +231,6 @@ def test_cech_three_charts():
     assert rep.passed, rep.witness
 
 
-def test_strict_torsion_raises():
-    from crystalcalc.errors import TorsionWitness
-    ring = ZpN(3, 3)
-    with pytest.raises(TorsionWitness):
-        torsion_check(ring, 3, relation_rows=[{0: 3}], strict=True)
-
-
 def test_poincare_m3_point():
     A = catalog("point", R33)
     rep = poincare_check(A, 3, D=4)

@@ -154,6 +154,18 @@ def test_regular_sequence_boundary_ring_fails():
     assert "killed but nonzero" in rep.witness
 
 
+def test_negative_control_needs_the_product_in_the_window():
+    # below D = m+1 the boundary quotient is the plain ring, so the control
+    # cannot bite and must not pass or fail; from D = m+1 on it bites
+    for m in (1, 2):
+        small = regular_sequence_suite(p=3, N=2, D=m, m=m)
+        assert small.status() == "inconclusive", small.witness
+        assert small.witness == \
+            f"window D={m} cannot hold the degree-{m + 1} product"
+        fits = regular_sequence_suite(p=3, N=2, D=m + 1, m=m)
+        assert fits.status() == "pass", fits.witness
+
+
 # -- fillers ---------------------------------------------------------------
 
 
@@ -257,14 +269,3 @@ def test_boundary_class_kills_product():
     assert not cls.is_zero()
     assert tw.boundary_class(1, cls) == cls
 
-
-def test_strict_modes_raise_typed_errors():
-    import pytest
-    from crystalcalc.errors import IdentityViolation, RegularityFailure
-    with pytest.raises(IdentityViolation):
-        verify_simplicial_identities(ZpN(2, 2), D=4, m_max=2,
-                                     variant="interval",
-                                     tamper=("d", 1, 0), strict=True)
-    with pytest.raises(RegularityFailure):
-        check_regular_sequence(p=3, N=2, D=4, m=1, perm=(0, 1),
-                               boundary_quotient=True, strict=True)
