@@ -96,6 +96,11 @@ def cech_descent_check(ring: ZpN, E: int, cover_elements) -> CheckReport:
                                witness="localizing elements share their zero "
                                        "locus mod p (not a cover)",
                                details={"roots": real_roots})
+    if E < 1:
+        # the comparison would run on polynomials alone and certify nothing
+        return CheckReport(name, True, inconclusive=True,
+                           witness=f"window E={E} holds no pole term of any chart",
+                           details={"E": E})
 
     r = len(roots)
     charts = {}

@@ -108,11 +108,6 @@ class VarSpec:
     def zero_t(self):
         return (0,) * len(self.pd)
 
-    def with_pd(self, pd_names, D=None, divided=None):
-        return VarSpec(self.ring, self.geom, tuple(pd_names), self.E,
-                       self.D if D is None else D,
-                       self.divided if divided is None else divided)
-
     def with_ring(self, ring):
         return VarSpec(ring, self.geom, self.pd, self.E, self.D, self.divided)
 
@@ -150,6 +145,20 @@ class PDSeries:
         self.terms = clean
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, spec, terms, prec):
+        """Wrap terms that are already nonzero mod p^prec and in the window.
+
+        Internal: no copy and no check.  Callers guarantee every key is a
+        (tuple, tuple) inside ``spec``'s windows and caps and every
+        coefficient lies in 1 .. p^prec - 1.
+        """
+        self = object.__new__(cls)
+        self.spec = spec
+        self.terms = terms
+        self.prec = prec
+        return self
 
     @classmethod
     def zero(cls, spec, prec=None):
@@ -195,9 +204,6 @@ class PDSeries:
             return None
         return degs.pop() if degs else 0
 
-    def max_t_weight(self):
-        return max((sum(te) for (_xe, te) in self.terms), default=0)
-
     def __eq__(self, other):
         if not isinstance(other, PDSeries):
             return NotImplemented
@@ -222,7 +228,7 @@ class PDSeries:
     # -- arithmetic ---------------------------------------------------
 
     def _check_compatible(self, other):
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise VarSpecMismatch(f"{self.spec} vs {other.spec}")
 
     def add(self, other):
@@ -232,36 +238,44 @@ class PDSeries:
         terms = {k: v % mod for k, v in self.terms.items()}
         for k, v in other.terms.items():
             terms[k] = (terms.get(k, 0) + v) % mod
-        return PDSeries(self.spec, terms, prec)
+        return PDSeries._trusted(self.spec,
+                                 {k: v for k, v in terms.items() if v}, prec)
 
     def neg(self):
         mod = self.spec.ring.p ** self.prec
-        return PDSeries(self.spec, {k: mod - v for k, v in self.terms.items()},
-                        self.prec)
+        return PDSeries._trusted(
+            self.spec, {k: mod - v for k, v in self.terms.items()}, self.prec)
 
     def sub(self, other):
         return self.add(other.neg())
 
     def scale(self, c):
         mod = self.spec.ring.p ** self.prec
-        return PDSeries(self.spec, {k: (v * c) % mod for k, v in self.terms.items()},
-                        self.prec)
+        terms = {k: (v * c) % mod for k, v in self.terms.items()}
+        return PDSeries._trusted(self.spec,
+                                 {k: v for k, v in terms.items() if v},
+                                 self.prec)
 
     def mul(self, other):
         self._check_compatible(other)
         spec = self.spec
         prec = min(self.prec, other.prec)
         mod = spec.ring.p ** prec
+        D = spec.D
         divided = spec.divided
+        fits_geom = spec.fits_geom
+        # T-exponents are nonnegative, so the cap needs only the T-degrees
+        right = [(xe, te, sum(te), c) for (xe, te), c in other.terms.items()]
         out = {}
         for (xe1, te1), c1 in self.terms.items():
-            for (xe2, te2), c2 in other.terms.items():
-                te = tuple(a + b for a, b in zip(te1, te2))
-                if not spec.fits_pd(te):
+            room = D - sum(te1)
+            for xe2, te2, d2, c2 in right:
+                if d2 > room:
                     continue
                 xe = tuple(a + b for a, b in zip(xe1, xe2))
-                if not spec.fits_geom(xe):
+                if not fits_geom(xe):
                     continue
+                te = tuple(a + b for a, b in zip(te1, te2))
                 c = c1 * c2
                 if divided:
                     for a, b in zip(te1, te2):
@@ -275,26 +289,7 @@ class PDSeries:
                         out[key] = nv
                     else:
                         out.pop(key, None)
-        return PDSeries(spec, out, prec)
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.sub(other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return self.mul(other)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
-    def __neg__(self):
-        return self.neg()
+        return PDSeries._trusted(spec, out, prec)
 
     def power(self, k: int):
         if k < 0:

@@ -14,11 +14,19 @@ same structure maps.
 
 The tower can carry extra geometric variables (a coefficient algebra), which
 every structure map fixes; the mapping-space fillers reuse the same code.
+
+Structure maps act through cached T-monomial images: for each map sigma and
+interval exponent te the tower substitutes T^te once (``t_image``), and a
+term c*x^a*T^te then goes to c*x^a times that image.  The image has no x,
+since sigma fixes the geometric variables, so every product term keeps the
+x-monomial x^a of the input: it stays inside the window, and an input in
+quotient normal form gives an output in normal form, with no reduction.
 """
 
 from itertools import permutations
 
-from .errors import IncompatibleFaces, PrecisionExhausted
+from .errors import (IncompatibleFaces, PrecisionExhausted,
+                     SignConventionViolation, VarSpecMismatch)
 from .linalg import HowellBasis, Matrix, kernel, solve_in_rowspace
 from .reports import CheckReport, merge_reports
 from .ring import ZpN
@@ -70,6 +78,9 @@ class SimplexMap:
         return isinstance(other, SimplexMap) and \
             (self.values, self.m) == (other.values, other.m)
 
+    def __hash__(self):
+        return hash((self.values, self.m))
+
     def __repr__(self):
         return f"SimplexMap({list(self.values)} -> [{self.m}])"
 
@@ -111,6 +122,7 @@ class LevelTower:
         self.divided = divided
         self.variant = variant
         self._specs = {}
+        self._t_images = {}
 
     def nvars(self, m):
         return m if self.variant == "interval" else m + 1
@@ -149,8 +161,45 @@ class LevelTower:
             images[f"T{i}"] = img
         return images
 
+    def t_image(self, sigma: SimplexMap, te) -> PDSeries:
+        """The image of the interval monomial T^te under sigma, cached.
+
+        Structure maps fix the geometric variables, so an image with an x
+        term means the structure images are wrong.
+        """
+        images = self._t_images.get(sigma)
+        if images is None:
+            images = self._t_images[sigma] = {}
+        img = images.get(te)
+        if img is None:
+            src = self.spec(sigma.m)
+            mono = PDSeries(src, {(src.zero_x(), te): 1})
+            img = pd_substitute(mono, self.structure_images(sigma),
+                                self.spec(sigma.n))
+            for (xe, _te) in img.terms:
+                if any(xe):
+                    raise SignConventionViolation(
+                        "structure map is not degree preserving",
+                        witness=(te, xe))
+            images[te] = img
+        return img
+
     def apply_map(self, sigma: SimplexMap, f: PDSeries) -> PDSeries:
-        return pd_substitute(f, self.structure_images(sigma), self.spec(sigma.n))
+        """f under the ring map of sigma: x^a T^te goes to x^a t_image(te)."""
+        src = self.spec(sigma.m)
+        if f.spec is not src and f.spec != src:
+            raise VarSpecMismatch(f"{f.spec} is not level {sigma.m} of the tower")
+        mod = self.ring.p ** f.prec
+        out = {}
+        for (xe, te), c in f.terms.items():
+            for (_x0, te2), c2 in self.t_image(sigma, te).terms.items():
+                key = (xe, te2)
+                v = (out.get(key, 0) + c * c2) % mod
+                if v:
+                    out[key] = v
+                else:
+                    out.pop(key, None)
+        return PDSeries._trusted(self.spec(sigma.n), out, f.prec)
 
     def face(self, m, i, f: PDSeries) -> PDSeries:
         return self.apply_map(SimplexMap.coface(m, i), f)

@@ -94,6 +94,7 @@ class Presentation:
         self.rewrites = tuple(
             RewriteRule.from_relation(rel, lead, ring)
             for rel, lead in zip(self.relations, self.leads))
+        self._towers = {}
 
     def __repr__(self):
         return f"Presentation({self.name}, p={self.ring.p}, N={self.ring.N})"
@@ -106,8 +107,17 @@ class Presentation:
                        E=self.E, D=D, divided=False)
 
     def mapping_tower(self, D) -> LevelTower:
-        return LevelTower(self.ring, D, geom=self.generators, E=self.E,
-                          divided=False, variant="interval")
+        """The interval tower of the mapping space, one per D.
+
+        Its structure-map cache then serves every face, degeneracy and
+        filler of morphisms into this presentation.
+        """
+        tower = self._towers.get(D)
+        if tower is None:
+            tower = self._towers[D] = LevelTower(
+                self.ring, D, geom=self.generators, E=self.E,
+                divided=False, variant="interval")
+        return tower
 
     def relation_series(self, idx, spec) -> PDSeries:
         zero_t = spec.zero_t()

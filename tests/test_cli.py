@@ -347,3 +347,26 @@ def test_fail_outranks_inconclusive():
     merged = merge_reports("m", [CheckReport("ok", True), unsure])
     assert merged.status() == "inconclusive"
     assert merged.witness == "b unsure"
+
+
+def test_known_values_rejects_m_below_1(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["known", "--algebra", "a1", "--p", "3", "--M", "0",
+              "--D", "3", "--E", "4"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("usage error: M must be >= 1 for the known-values "
+                       "check, got 0\n")
+
+
+def test_cech_at_empty_pole_window_is_inconclusive(tmp_path):
+    # an E = 0 window holds no pole term, so the charts compare constants
+    # and polynomials only: nothing about descent is certified
+    code, text = run_cli(["dr", "--algebra", "a1", "--p", "2", "--E", "0",
+                          "--cech", "x,x-1"], tmp_path)
+    assert code == 1
+    lines = text.splitlines()
+    assert "status: inconclusive" in lines[:4]
+    assert "witness: window E=0 holds no pole term of any chart" in lines
+    assert "status: pass" not in lines

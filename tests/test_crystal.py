@@ -152,7 +152,7 @@ def test_totalize_view():
                                             for (m, q) in dc.tot_blocks(0))
 
 
-def test_strict_comparison_raises():
+def test_known_values_rejects_uncatalogued_algebra():
     import pytest
     from crystalcalc.errors import CatalogMismatch
     with pytest.raises(CatalogMismatch):

@@ -352,3 +352,14 @@ def test_contraction_fails_on_flipped_kappa_sign(monkeypatch):
 
     monkeypatch.setattr(DeRhamComplex, "kappa_of_basis", flipped)
     assert not cx.verify_contraction(1).passed
+
+
+def test_cech_needs_pole_terms_in_the_window():
+    ring = ZpN(2, 2)
+    cover = [{1: 1}, {1: 1, 0: -1}]
+    rep = cech_descent_check(ring, 0, cover)
+    assert rep.status() == "inconclusive"
+    assert "E=0" in rep.witness
+    assert cech_descent_check(ring, 1, cover).status() == "pass"
+    # a non-cover still fails whatever the window
+    assert not cech_descent_check(ring, 0, [{1: 1}, {1: 1, 0: -2}]).passed

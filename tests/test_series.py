@@ -1,5 +1,6 @@
 """Truncated series arithmetic: ring axioms, divided powers, substitution."""
 
+import math
 import random
 
 import pytest
@@ -324,3 +325,62 @@ def test_gamma_mixed_argument_multiplicativity():
     for k in (2, 3):
         lhs = gamma_of_series(u, k).scale(math.factorial(k))
         assert lhs == u.power(k)
+
+
+# -- products against a naive oracle ----------------------------------------------
+
+
+def _naive_product(f, g):
+    """f * g written out term by term, with the window and cap rules."""
+    spec = f.spec
+    prec = min(f.prec, g.prec)
+    mod = spec.ring.p ** prec
+    out = {}
+    for (xe1, te1), c1 in f.terms.items():
+        for (xe2, te2), c2 in g.terms.items():
+            xe = tuple(a + b for a, b in zip(xe1, xe2))
+            te = tuple(a + b for a, b in zip(te1, te2))
+            if sum(te) > spec.D:
+                continue
+            lo = [0 if v.kind == "poly" else -spec.E for v in spec.geom]
+            if any(e < l or e > spec.E for e, l in zip(xe, lo)):
+                continue
+            c = c1 * c2
+            if spec.divided:
+                for a, b in zip(te1, te2):
+                    c *= math.comb(a + b, a)
+            out[(xe, te)] = (out.get((xe, te), 0) + c) % mod
+    return {k: v for k, v in out.items() if v}, prec
+
+
+@pytest.mark.parametrize("divided", [True, False])
+@pytest.mark.parametrize("p,N", [(2, 3), (3, 2), (5, 2)])
+def test_mul_matches_naive_product(divided, p, N):
+    rng = random.Random(f"mul/{p}/{N}/{divided}")
+    spec = VarSpec(ZpN(p, N),
+                   geom=(GeomVar("x", "poly", 1), GeomVar("y", "laurent", 1)),
+                   pd=("T0", "T1"), E=3, D=4, divided=divided)
+    mod = p ** N
+
+    def random_series():
+        terms = {}
+        for _ in range(rng.randint(0, 9)):
+            xe = (rng.randint(0, 3), rng.randint(-3, 3))
+            te = (rng.randint(0, 3), rng.randint(0, 2))
+            if sum(te) <= spec.D:
+                terms[(xe, te)] = rng.randrange(1, mod)
+        return PDSeries(spec, terms, rng.randint(1, N))
+
+    capped = clipped = 0
+    for _ in range(150):
+        f, g = random_series(), random_series()
+        terms, prec = _naive_product(f, g)
+        got = f.mul(g)
+        assert got.prec == prec
+        assert got.terms == terms
+        assert got == PDSeries(spec, terms, prec)
+        capped += any(sum(a[1]) + sum(b[1]) > spec.D
+                      for a in f.terms for b in g.terms)
+        clipped += any(abs(a[0][k] + b[0][k]) > spec.E
+                       for a in f.terms for b in g.terms for k in (0, 1))
+    assert capped and clipped  # the D cap and the E window were exercised

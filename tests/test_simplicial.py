@@ -4,9 +4,13 @@ import random
 
 import pytest
 
-from crystalcalc.errors import IncompatibleFaces
+from crystalcalc.errors import (
+    IncompatibleFaces,
+    SignConventionViolation,
+    VarSpecMismatch,
+)
 from crystalcalc.ring import ZpN
-from crystalcalc.series import PDSeries
+from crystalcalc.series import GeomVar, PDSeries, pd_substitute
 from crystalcalc.simplicial import (
     LevelTower,
     SimplexMap,
@@ -20,6 +24,7 @@ from crystalcalc.simplicial import (
     verify_boundary_kernel,
     verify_simplicial_identities,
 )
+from crystalcalc.smoothlift import catalog
 
 
 def tower33(D=5):
@@ -64,6 +69,72 @@ def test_structure_map_functorial():
         composite = tau.then(sigma)
         assert tw.apply_map(composite, f) == \
             tw.apply_map(tau, tw.apply_map(sigma, f))
+
+
+def _random_level_element(tower, m, rng, prec):
+    spec = tower.spec(m)
+    terms = {}
+    for _ in range(rng.randint(0, 7)):
+        xe = tuple(rng.randint(-tower.E if g.kind == "laurent" else 0, tower.E)
+                   for g in tower.geom)
+        te = rng.choice(t_monomials(tower.nvars(m), tower.D))
+        terms[(xe, te)] = rng.randrange(1, tower.ring.modulus)
+    return PDSeries(spec, terms, prec)
+
+
+def _oracle_towers():
+    ring = ZpN(3, 3)
+    gm = catalog("gm", ring, E=3)
+    line = (GeomVar("x", "poly", 1),)
+    yield gm.mapping_tower(3)  # Laurent generator, plain powers
+    for variant in ("interval", "free"):
+        for divided in (True, False):
+            yield LevelTower(ring, 3, variant=variant, divided=divided)
+            yield LevelTower(ZpN(2, 3), 3, geom=line, E=2, variant=variant,
+                             divided=divided)
+    yield LevelTower(ring, 3, geom=gm.generators, E=3, divided=True)
+
+
+def test_cached_structure_maps_match_full_substitution():
+    # the oracle substitutes the whole series through pd_substitute; the
+    # tower multiplies x^a into cached images of T-monomials instead
+    rng = random.Random(6)
+    checked = 0
+    for tower in _oracle_towers():
+        N = tower.ring.N
+        sigmas = [SimplexMap.coface(m, i) for m in range(1, 4)
+                  for i in range(m + 1)]
+        sigmas += [SimplexMap.codegeneracy(m, i) for m in range(4)
+                   for i in range(m + 1)]
+        for sigma in sigmas:
+            for prec in (N, rng.randint(1, N - 1)):
+                f = _random_level_element(tower, sigma.m, rng, prec)
+                want = pd_substitute(f, tower.structure_images(sigma),
+                                     tower.spec(sigma.n))
+                assert tower.apply_map(sigma, f) == want, (tower.variant, sigma)
+                checked += 1
+    assert checked == 10 * 19 * 2
+
+
+def test_structure_map_rejects_a_series_of_another_level():
+    tower = tower33(D=4)
+    with pytest.raises(VarSpecMismatch):
+        tower.face(2, 0, tower.var(1, 0))
+
+
+def test_structure_map_with_geometric_image_is_rejected(monkeypatch):
+    tower = LevelTower(ZpN(3, 2), 3, geom=(GeomVar("x", "poly", 1),), E=2)
+    original = LevelTower.structure_images
+
+    def moving_x(self, sigma):
+        images = original(self, sigma)
+        images["T0"] = images["T0"].add(
+            PDSeries.geom_var(self.spec(sigma.n), "x").scale(3))
+        return images
+
+    monkeypatch.setattr(LevelTower, "structure_images", moving_x)
+    with pytest.raises(SignConventionViolation, match="degree preserving"):
+        tower.degeneracy(1, 0, tower.var(1, 0))
 
 
 def test_simplicial_identities_free_and_interval():

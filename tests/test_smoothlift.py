@@ -301,3 +301,29 @@ def test_degenerate_simplex_faces():
                  level=1, D=4, validate=False)
     assert s.face(0).images == phi.images
     assert s.face(1).images == phi.images
+
+
+def test_repeated_face_reuses_the_cached_structure_maps(monkeypatch):
+    import crystalcalc.simplicial as simplicial
+    calls = []
+    original = simplicial.pd_substitute
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simplicial, "pd_substitute", counting)
+    A = catalog("gm", R33)
+    D = 5
+    assert A.mapping_tower(D) is A.mapping_tower(D)
+    H = random_two_simplex(A, D, random.Random(3))
+    first = [H.face(i) for i in range(3)]
+    assert calls  # the first faces fill the tower's cache
+    calls.clear()
+    again = [H.face(i) for i in range(3)]
+    assert calls == []
+    assert [F.images for F in again] == [F.images for F in first]
+    # a filler through the same tower substitutes only monomials it has not
+    # seen: never a whole series
+    fill_mapping_boundary(2, first, H.reduction(), D=D)
+    assert all(len(f.terms) == 1 for f in calls)
