@@ -16,6 +16,8 @@ detected by comparing basis counts at windows E and E+1 and reported as
 uncertified rather than silently truncated.
 """
 
+from bisect import bisect_left
+from operator import mul
 from typing import NamedTuple
 
 from .errors import CapsTooSmall
@@ -87,6 +89,7 @@ class DeRhamComplex:
         self.npd = obj.level
         self.free_geom = [i for i, g in enumerate(self.base.generators)
                           if g.name not in self.base.witness]
+        self._weights = tuple(g.weight for g in self.base.generators)
         self._frame = None
         self._basis_cache = {}
         self._dmat_cache = {}
@@ -119,7 +122,7 @@ class DeRhamComplex:
         return self._xdeg
 
     def degree(self, xe):
-        return sum(g.weight * e for g, e in zip(self.base.generators, xe))
+        return sum(map(mul, self._weights, xe))
 
     def max_form_degree(self):
         return len(self.free_geom) + self.npd
@@ -183,78 +186,88 @@ class DeRhamComplex:
 
     def _distribute(self, series, J, K, sign, target_index, row, weight_cap,
                     expected_degree=None):
-        """Add sign * series * dx_J dT_K to a row over the target basis.
-
-        With ``expected_degree`` set (homogeneous presentations), any term of
-        a different graded degree is a broken degree-0 map, not truncation,
-        and is reported as such.
-        """
-        mod = self.spec.ring.modulus
-        wJ = sum(self.base.generators[v].weight for v in J)
+        """Add sign * series * dx_J dT_K to a row over the target basis."""
+        wJ = sum(self._weights[v] for v in J)
         for (xe, te), c in series.terms.items():
-            if expected_degree is not None and \
-                    self.degree(xe) + wJ != expected_degree:
-                raise CapsTooSmall(
-                    "differential is not degree preserving",
-                    witness=(xe, te, J, K))
-            if sum(te) + len(K) > weight_cap:
-                continue
-            key = FormBasis(xe, te, J, K)
-            idx = target_index.get(key)
-            if idx is None:
-                continue
-            nv = (row.get(idx, 0) + sign * c) % mod
-            if nv:
-                row[idx] = nv
-            else:
-                row.pop(idx, None)
+            self._add_term(row, xe, te, J, K, wJ, sign * c, target_index,
+                           weight_cap, expected_degree)
+
+    def _add_term(self, row, xe, te, J, K, wJ, c, target_index, weight_cap,
+                  expected_degree):
+        """Add c * x^xe T^[te] dx_J dT_K to a row over the target basis.
+
+        With ``expected_degree`` set (homogeneous presentations), a term of
+        a different graded degree is a broken degree-0 map, not truncation,
+        and is reported as such.  Terms over the weight cap or outside the
+        target basis are dropped.
+        """
+        if expected_degree is not None and \
+                self.degree(xe) + wJ != expected_degree:
+            raise CapsTooSmall("differential is not degree preserving",
+                               witness=(xe, te, J, K))
+        if sum(te) + len(K) > weight_cap:
+            return
+        idx = target_index.get((xe, te, J, K))  # finds the FormBasis key
+        if idx is None:
+            return
+        nv = (row.get(idx, 0) + c) % self.spec.ring.modulus
+        if nv:
+            row[idx] = nv
+        else:
+            row.pop(idx, None)
 
     def _d_of_basis(self, b: FormBasis, target_index):
         """Row dict of the exterior differential of one basis form."""
         pres = self.base
+        xe, te, J, K = b
+        mod = self.spec.ring.modulus
+        D = self.obj.D
         row = {}
-        expected = None
-        if pres.is_homogeneous():
-            expected = self.degree(b.xe) + sum(
-                pres.generators[v].weight for v in b.J)
-        frame = self.frame()
-        # geometric part: d(x^a) = sum a_v x^(a - e_v) dx_v, with witness
-        # differentials rewritten through the frame
-        for v in range(self.ngeom):
-            if not b.xe[v]:
+        wJ = sum(self._weights[j] for j in J)
+        expected = self.degree(xe) + wJ if pres.is_homogeneous() else None
+        # geometric part: d(x^a) = sum a_v x^(a - e_v) dx_v.  A free
+        # generator's term is written directly: x^a is in normal form, and a
+        # monomial that x^(a - e_v) divides is divided by it too, so no lead
+        # monomial divides x^(a - e_v) and the term needs no reduction.  The
+        # normality test guards that argument.  Witness differentials are
+        # rewritten through the frame, on the series path.
+        for v, a in enumerate(xe):
+            c = a % mod
+            if not c:
                 continue
-            nxe = list(b.xe)
-            nxe[v] -= 1
-            if not self.spec.fits_geom(tuple(nxe)):
+            nxe = xe[:v] + (a - 1,) + xe[v + 1:]
+            if not self.spec.fits_geom(nxe):
                 continue
-            coeff = PDSeries(self.spec, {(tuple(nxe), b.te): b.xe[v]})
-            coeff = pres.reduce(coeff)
-            # a free generator's differential has coefficient one: coeff is
-            # already reduced, so it goes in as it is
-            targets = [(v, None)] if v in self.free_geom \
-                else [(w, fs) for w, fs in sorted(frame.get(v, {}).items())]
+            free = v in self.free_geom
+            if free and v in J:
+                continue
+            if free and pres.is_normal_monomial(nxe):
+                pos = bisect_left(J, v)
+                self._add_term(row, nxe, te, J[:pos] + (v,) + J[pos:], K,
+                               wJ + self._weights[v], -c if pos % 2 else c,
+                               target_index, D, expected)
+                continue
+            coeff = pres.reduce(PDSeries(self.spec, {(nxe, te): c}))
+            targets = [(v, None)] if free \
+                else sorted(self.frame().get(v, {}).items())
             for w, factor in targets:
-                if w in b.J:
+                if w in J:
                     continue
-                pos = sum(1 for j in b.J if j < w)
-                sign = -1 if pos % 2 else 1
-                newJ = tuple(sorted(b.J + (w,)))
+                pos = bisect_left(J, w)
                 val = coeff if factor is None else \
                     pres.reduce(coeff.mul(_embed_spec(factor, self.spec)))
-                self._distribute(val, newJ, b.K, sign, target_index, row,
-                                 self.obj.D, expected)
-        # interval part: d(T^[k]) = T^[k-1] dT
-        for w in range(self.npd):
-            if not b.te[w] or w in b.K:
+                self._distribute(val, J[:pos] + (w,) + J[pos:], K,
+                                 -1 if pos % 2 else 1, target_index, row, D,
+                                 expected)
+        # interval part: d(T^[k]) = T^[k-1] dT, coefficient one
+        for w, k in enumerate(te):
+            if not k or w in K:
                 continue
-            nte = list(b.te)
-            nte[w] -= 1
-            pos = len(b.J) + sum(1 for k in b.K if k < w)
-            sign = -1 if pos % 2 else 1
-            newK = tuple(sorted(b.K + (w,)))
-            coeff = PDSeries(self.spec, {(b.xe, tuple(nte)): 1})
-            self._distribute(coeff, b.J, newK, sign, target_index, row,
-                             self.obj.D, expected)
+            at = bisect_left(K, w)
+            self._add_term(row, xe, te[:w] + (k - 1,) + te[w + 1:], J,
+                           K[:at] + (w,) + K[at:], wJ,
+                           -1 if (len(J) + at) % 2 else 1, target_index, D,
+                           expected)
         return row
 
     def dmat(self, q, g=None) -> Matrix:
@@ -413,15 +426,19 @@ def poincare_check(A: Presentation, m: int, D: int) -> CheckReport:
     elementary divisors of the level-m and level-0 complexes per certified
     graded degree.
     """
+    return _poincare_check(DeRhamComplex(PFSmObject(A, 0, D)), m,
+                           graded_cells(A, D))
+
+
+def _poincare_check(base: DeRhamComplex, m: int, cells) -> CheckReport:
+    """``poincare_check`` against a level-0 complex and its certified cells,
+    both shared with the caller."""
     if m < 0:
         raise ValueError("m must be >= 0")
     if m > 3:
         raise ValueError("m above 3 is not certified (cost control)")
-    obj_m = PFSmObject(A, m, D)
-    obj_0 = PFSmObject(A, 0, D)
-    col = DeRhamComplex(obj_m)
-    base = DeRhamComplex(obj_0)
-    cells = graded_cells(A, D)
+    A = base.base
+    col = DeRhamComplex(PFSmObject(A, m, base.obj.D))
     if not cells:
         return _no_certified_cells(f"poincare-{A.name}-m{m}", A, {"m": m})
     reports = []

@@ -70,9 +70,6 @@ class Matrix:
     def zero(cls, ring, nrows, ncols):
         return cls(ring, nrows, ncols, {})
 
-    def get(self, i, j):
-        return self._sparse.get((i, j), 0)
-
     def row_dicts(self):
         out = [dict() for _ in range(self.nrows)]
         for (i, j), v in self._sparse.items():
@@ -117,9 +114,6 @@ class Matrix:
                     entries[(i, j)] = v
         return Matrix(self.ring, self.nrows, other.ncols, entries)
 
-    def __matmul__(self, other):
-        return self.mul(other)
-
     def add(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("dimension mismatch")
@@ -135,16 +129,6 @@ class Matrix:
         mod = self.ring.modulus
         entries = {ij: (v * c) % mod for ij, v in self._sparse.items()}
         return Matrix(self.ring, self.nrows, self.ncols, entries)
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.ncols:
-            raise ValueError("dimension mismatch")
-        entries = {}
-        for (i, j), v in self._iter_entries():
-            entries[(i, j)] = v
-        for (i, j), v in other._iter_entries():
-            entries[(i + self.nrows, j)] = v
-        return Matrix(self.ring, self.nrows + other.nrows, self.ncols, entries)
 
     def _iter_entries(self):
         return iter(self._sparse.items())
@@ -414,9 +398,6 @@ class HowellBasis:
     def rows(self):
         return [dict(row) for (_c, row, _t, _v) in self.pivots]
 
-    def matrix(self):
-        return Matrix.from_row_dicts(self.ring, self.rows(), self.ncols)
-
     def reduce(self, vec):
         """Reduce a row dict against the basis.
 
@@ -465,40 +446,69 @@ def smith_valuations(M: Matrix):
     Row and column operations are both allowed over this local ring, so the
     form is diag(p^a1, ..., p^as) with a1 <= ... <= as, returned as a list.
 
-    Sparse elimination on row dicts: pivot on an entry of least valuation v,
-    clear its column with row operations (exact, since p^v divides every
-    entry), then drop the pivot row; the column operations that would clear
-    the rest of that row touch no other row.  The least valuation never
-    decreases, so the scan stops at the first entry whose valuation equals
-    the previous pivot's.
+    Layered local Smith form by elimination (Dumas, Saunders and Villard,
+    "On efficient sparse integer matrix Smith normal form computations",
+    J. Symbolic Comput. 32, 2001).  At layer v every entry is divisible by
+    p^v.  Pivot on an entry of valuation exactly v, clear its column with
+    row operations (exact, since p^v divides every entry) and drop the pivot
+    row: the column operations that would clear the rest of that row touch
+    no other row.  Eliminations keep every entry divisible by p^v, so when
+    no entry of valuation v is left, layer v + 1 begins; entries of
+    valuation N are zero, so at most N layers run.
+
+    A column -> rows incidence map lets a pivot touch only the rows that
+    hold its column.  Each layer visits the rows once, shortest first, and
+    reads each row as it stands when visited; within a row the pivot is the
+    candidate whose column has the fewest entries (a Markowitz-style choice
+    that limits fill-in).  A row visited without a candidate has every entry
+    divisible by p^(v+1), and an elimination adds to it only multiples of
+    p^(v+1) (its entry in the pivot column is such a multiple, so the
+    multiplier of the pivot row is divisible by p): it gains no candidate
+    before the layer ends.  The Smith form is unique, so the pivot order does not change the
+    result.
     """
     ring = M.ring
     mod, p = ring.modulus, ring.p
-    rows = [r for r in M.row_dicts() if r]
+    rows = {i: r for i, r in enumerate(M.row_dicts()) if r}
+    cols = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
     vals = []
-    floor = 0
-    while rows:
-        best = None
-        for i, row in enumerate(rows):
-            for j, a in row.items():
-                v = ring.val(a)
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-                    if v == floor:
-                        break
-            if best[0] == floor:
-                break
-        v, bi, bj = best
-        prow = rows.pop(bi)
-        piv = p ** v
-        u = ring.unit_inverse(prow[bj] // piv)
-        for row in rows:
-            x = row.get(bj)
-            if x:
-                _sub_scaled(row, prow, (x // piv) * u, mod)
-        rows = [r for r in rows if r]
-        vals.append(v)
-        floor = v
+    for v in range(ring.N):
+        if not rows:
+            break
+        piv, nxt = p ** v, p ** (v + 1)
+        for i in sorted(rows, key=lambda i: (len(rows[i]), i)):
+            prow = rows.get(i)
+            if prow is None:
+                continue
+            best, count = None, 0
+            for j, a in prow.items():
+                if a % nxt and (best is None or len(cols[j]) < count):
+                    best, count = j, len(cols[j])
+            if best is None:
+                continue
+            del rows[i]
+            for j in prow:
+                cols[j].discard(i)
+            u = ring.unit_inverse(prow.pop(best) // piv)
+            for r in cols.pop(best):
+                row = rows[r]
+                q = (row.pop(best) // piv) * u % mod
+                for j, a in prow.items():
+                    old = row.get(j)
+                    nv = ((old or 0) - q * a) % mod
+                    if nv:
+                        row[j] = nv
+                        if old is None:
+                            cols[j].add(r)
+                    elif old is not None:
+                        del row[j]
+                        cols[j].discard(r)
+                if not row:
+                    del rows[r]
+            vals.append(v)
     return vals
 
 

@@ -44,9 +44,6 @@ class ZpN:
     def __hash__(self):
         return hash((self.p, self.N))
 
-    def normalize(self, a: int) -> int:
-        return a % self.modulus
-
     def val(self, a: int) -> int:
         """p-adic valuation of a residue, capped at N; val(0) = N."""
         a %= self.modulus
@@ -58,26 +55,11 @@ class ZpN:
             v += 1
         return v
 
-    def is_unit(self, a: int) -> bool:
-        return a % self.p != 0
-
     def unit_inverse(self, a: int) -> int:
         a %= self.modulus
         if a % self.p == 0:
             raise ZeroDivisionError(f"{a} is not a unit mod {self.p}^{self.N}")
         return pow(a, -1, self.modulus)
-
-    def divide_by_p_power(self, a: int, k: int) -> int:
-        """Exact division a / p^k; the result is well defined mod p^(N-k).
-
-        Requires val(a) >= k.  Returns the canonical representative of the
-        quotient in [0, p^(N-k)).
-        """
-        a %= self.modulus
-        pk = self.p ** k
-        if a % pk != 0:
-            raise ZeroDivisionError(f"{a} not divisible by {self.p}^{k}")
-        return (a // pk) % (self.p ** (self.N - k))
 
     def val_factorial(self, k: int) -> int:
         """Valuation of k! (Legendre)."""

@@ -13,6 +13,7 @@ from crystalcalc.cli import (
     parse_morphism,
     parse_presentation,
 )
+from crystalcalc.derham import DeRhamComplex
 from crystalcalc.reports import CheckReport, merge_reports
 from crystalcalc.ring import ZpN
 
@@ -187,6 +188,25 @@ def test_dr_verb_poincare_and_base_change(tmp_path):
     assert code == 0
     assert "poincare" in text
     assert "check: base-change-gm-m1" in text
+
+
+def test_dr_builds_each_level0_differential_once(monkeypatch, tmp_path):
+    # the Poincare check and the divisor report share one level-0 complex
+    builds = []
+    dmat = DeRhamComplex.dmat
+
+    def counted(self, q, g=None):
+        if self.obj.level == 0 and (q, g) not in self._dmat_cache:
+            builds.append((q, g))
+        return dmat(self, q, g)
+
+    monkeypatch.setattr(DeRhamComplex, "dmat", counted)
+    code, text = run_cli(["dr", "--algebra", "a1", "--p", "2", "--N", "3",
+                          "--D", "7", "--E", "9", "--M", "2",
+                          "--poincare-m", "3", "--base-change"], tmp_path)
+    assert code == 0
+    assert "check: poincare-a1-m3" in text
+    assert builds and len(builds) == len(set(builds))
 
 
 def test_lift_verb_from_presentation_file(tmp_path):

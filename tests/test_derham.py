@@ -19,8 +19,8 @@ from crystalcalc.errors import NotACover
 from crystalcalc.linalg import ElementaryDivisors, Matrix
 from crystalcalc.localized import LocalizedLine, cech_descent_check
 from crystalcalc.ring import ZpN
-from crystalcalc.series import PDSeries
-from crystalcalc.smoothlift import catalog, unit_pair_presentation
+from crystalcalc.series import GeomVar, PDSeries
+from crystalcalc.smoothlift import Presentation, catalog, unit_pair_presentation
 
 R33 = ZpN(3, 3)
 
@@ -282,14 +282,30 @@ def _d_row_multiplying_by_one(cx, b, index):
     return row
 
 
+# a1 at p = 2, N = 2 has d(x^4) = 4 x^3 dx = 0; gm-pair is the relation
+# x*y = 1, whose witness differential dy goes through the frame; a2 has two
+# free differentials, so dx_v ^ dx_J takes both signs
 CELL_CASES = [("gm", ZpN(3, 2), 5, 2, 3, [-2, 0, 1, 4]),
               ("a1", ZpN(2, 3), 5, 2, 3, [0, 1, 3]),
-              ("ell-3-1-2", ZpN(3, 2), 3, 1, 2, [None])]
+              ("ell-3-1-2", ZpN(3, 2), 3, 1, 2, [None]),
+              ("a1", ZpN(2, 2), 5, 1, 2, [3, 4, 5]),
+              ("gm-pair", ZpN(3, 2), 4, 1, 2, [-2, 0, 1, 3]),
+              ("gm", ZpN(3, 2), 3, 3, 3, [-1, 0, 2]),
+              ("a2", ZpN(3, 2), 3, 1, 2, [1, 2, 4])]
+
+
+def _algebra(name, ring, E):
+    if name == "gm-pair":
+        return unit_pair_presentation(ring, E=E)
+    if name == "a2":
+        return Presentation("a2", ring, (GeomVar("x", "poly", 1),
+                                         GeomVar("y", "poly", 1)), E=E)
+    return catalog(name, ring, E=E)
 
 
 @pytest.mark.parametrize("name,ring,E,m,D,degrees", CELL_CASES)
 def test_dmat_matches_multiplication_by_one(name, ring, E, m, D, degrees):
-    cx = DeRhamComplex(PFSmObject(catalog(name, ring, E=E), m, D))
+    cx = DeRhamComplex(PFSmObject(_algebra(name, ring, E), m, D))
     for g in degrees:
         for q in range(cx.max_form_degree() + 1):
             src, tgt = cx.basis(q, g), cx.basis(q + 1, g)
@@ -301,7 +317,7 @@ def test_dmat_matches_multiplication_by_one(name, ring, E, m, D, degrees):
 
 @pytest.mark.parametrize("name,ring,E,m,D,degrees", CELL_CASES)
 def test_basis_matches_whole_window_filter(name, ring, E, m, D, degrees):
-    A = catalog(name, ring, E=E)
+    A = _algebra(name, ring, E)
     cx = DeRhamComplex(PFSmObject(A, m, D))
     window = [range(-E if g.kind == "laurent" else 0, E + 1)
               for g in A.generators]

@@ -147,6 +147,83 @@ def test_smith_valuations_brute_force(p, N):
         assert smith_valuations(M) == want
 
 
+def _reference_smith_valuations(M):
+    """Smith valuations by a scan of every remaining entry for the least
+    valuation before each pivot (the quadratic routine the layered
+    elimination replaced)."""
+    ring = M.ring
+    mod, p = ring.modulus, ring.p
+    rows = [r for r in M.row_dicts() if r]
+    vals = []
+    floor = 0
+    while rows:
+        best = None
+        for i, row in enumerate(rows):
+            for j, a in row.items():
+                v = ring.val(a)
+                if best is None or v < best[0]:
+                    best = (v, i, j)
+                    if v == floor:
+                        break
+            if best[0] == floor:
+                break
+        v, bi, bj = best
+        prow = rows.pop(bi)
+        piv = p ** v
+        u = ring.unit_inverse(prow[bj] // piv)
+        for row in rows:
+            x = row.get(bj)
+            if x:
+                linalg._sub_scaled(row, prow, (x // piv) * u, mod)
+        rows = [r for r in rows if r]
+        vals.append(v)
+        floor = v
+    return vals
+
+
+def _layered_smith_cases(ring, rng, count):
+    """Sparse matrices up to 60x40 whose rows and columns are scaled by
+    powers of p, some with rows that cancel to zero, plus an empty matrix,
+    an all-zero one and one with every entry divisible by p."""
+    p, N, mod = ring.p, ring.N, ring.modulus
+    yield Matrix(ring, 0, 0)
+    yield Matrix(ring, 5, 4)
+    yield Matrix(ring, 6, 5, {(i, j): p * rng.randrange(1, mod)
+                              for i in range(6) for j in range(5)})
+    for _ in range(count):
+        nrows, ncols = rng.randint(1, 60), rng.randint(1, 40)
+        density = rng.choice((0.03, 0.08, 0.2, 0.5))
+        rscale = [p ** rng.randrange(N) for _ in range(nrows)]
+        cscale = [p ** rng.randrange(N) for _ in range(ncols)]
+        rows = [{j: rng.randrange(1, mod) * rscale[i] * cscale[j] % mod
+                 for j in range(ncols) if rng.random() < density}
+                for i in range(nrows)]
+        # copies and multiples of earlier rows cancel to zero on the way
+        for i in range(1, nrows):
+            if rng.random() < 0.15:
+                c = rng.randrange(1, mod)
+                earlier = rows[rng.randrange(i)]
+                rows[i] = {j: c * v % mod for j, v in earlier.items()}
+        yield Matrix.from_row_dicts(ring, rows, ncols)
+
+
+@pytest.mark.parametrize("p,N", [(2, 3), (3, 2), (5, 1), (3, 3)])
+def test_smith_valuations_matches_pivot_scan_reference(p, N):
+    ring = ZpN(p, N)
+    rng = random.Random(7 * p + N)
+    layers = set()
+    cases = 0
+    for M in _layered_smith_cases(ring, rng, 80):
+        before = M.row_dicts()
+        want = _reference_smith_valuations(M)
+        assert smith_valuations(M) == want
+        assert M.row_dicts() == before
+        layers.update(want)
+        cases += 1
+    assert cases == 83
+    assert layers == set(range(N))
+
+
 def test_kernel_zero_matrix():
     ring = ZpN(3, 2)
     M = Matrix.zero(ring, 3, 2)
