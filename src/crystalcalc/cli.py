@@ -18,18 +18,12 @@ from .crystal import (  # compare_dr_cris: perfbench checks its rebinding here
     DoubleComplex,
     _compare_dr_cris,
     _cris,
-    _dr_report,
     compare_dr_cris,
     cris,
+    dr_report,
     known_values_check,
 )
-from .derham import (
-    DeRhamComplex,
-    PFSmObject,
-    _poincare_check,
-    base_change_check,
-    graded_cells,
-)
+from .derham import base_change_check, poincare_check
 from .errors import CrystalError
 from .localized import cech_descent_check
 from .reports import merge_reports
@@ -274,12 +268,9 @@ def run_homotopy(args):
 def run_dr(args):
     ring = ZpN(args.p, args.N)
     A = load_algebra(args.algebra, ring, args.E)
-    # one level-0 complex: the divisor report reuses the Poincare check's
-    cx = DeRhamComplex(PFSmObject(A, 0, args.D))
-    cells = graded_cells(A, args.D)
     reports = []
     if args.poincare_m:
-        reports.append(_poincare_check(cx, args.poincare_m, cells))
+        reports.append(poincare_check(A, args.poincare_m, args.D))
     if args.base_change:
         reports.append(base_change_check(A, min(args.M or 1, 2), args.D))
     if args.cech:
@@ -289,7 +280,7 @@ def run_dr(args):
                              "(one polynomial generator, no relations)")
         cover = [_parse_cover_element(elt) for elt in args.cech.split(",")]
         reports.append(cech_descent_check(ring, args.E, cover))
-    report = _dr_report(cx, cells, seed=args.seed)
+    report = dr_report(A, args.D, seed=args.seed)
     merged = merge_reports("dr", reports)
     body = []
     for rep in reports:

@@ -22,7 +22,7 @@ stabilization check guards the boundary.
 from dataclasses import dataclass, field
 
 from .derham import (DeRhamComplex, FormBasis, PFSmObject, graded_cells,
-                     _no_certified_cells)
+                     level0_complex, _no_certified_cells)
 from .errors import CatalogMismatch, SignConventionViolation
 from .linalg import ElementaryDivisors, Matrix, kernel, subquotient
 from .reports import CheckReport, merge_reports
@@ -371,21 +371,15 @@ def _cris(dc: DoubleComplex, degrees=None, seed=0) -> CohomologyReport:
 
 def dr_report(A: Presentation, D: int, seed=0) -> CohomologyReport:
     """Plain de Rham cohomology of the base algebra, same report format."""
-    return _dr_report(DeRhamComplex(PFSmObject(A, 0, D)), graded_cells(A, D),
-                      seed)
-
-
-def _dr_report(cx: DeRhamComplex, gs, seed=0) -> CohomologyReport:
-    """``dr_report`` of a level-0 complex and its certified graded cells."""
-    A = cx.base
+    cx = level0_complex(A, D)
     q_max = cx.max_form_degree()
     cells = {}
-    for g in gs:
+    for g in graded_cells(A, D):
         cx.assert_complex(g)
         for q in range(q_max + 1):
             cells[(q, g)] = cx.cohomology(q, g)
-    return CohomologyReport(A.name, "dr", A.ring.p, A.ring.N, cx.obj.D, A.E,
-                            0, seed=seed, cells=cells)
+    return CohomologyReport(A.name, "dr", A.ring.p, A.ring.N, D, A.E, 0,
+                            seed=seed, cells=cells)
 
 
 def compare_dr_cris(A: Presentation, M: int, D: int) -> CheckReport:

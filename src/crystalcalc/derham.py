@@ -226,11 +226,11 @@ class DeRhamComplex:
         wJ = sum(self._weights[j] for j in J)
         expected = self.degree(xe) + wJ if pres.is_homogeneous() else None
         # geometric part: d(x^a) = sum a_v x^(a - e_v) dx_v.  A free
-        # generator's term is written directly: x^a is in normal form, and a
-        # monomial that x^(a - e_v) divides is divided by it too, so no lead
-        # monomial divides x^(a - e_v) and the term needs no reduction.  The
-        # normality test guards that argument.  Witness differentials are
-        # rewritten through the frame, on the series path.
+        # generator's term is written directly: basis monomials are normal,
+        # and a rewrite rule applies to x^a whenever it applies to
+        # x^(a - e_v) (it asks every exponent to reach its lead's), so
+        # x^(a - e_v) is normal too and needs no reduction.  Witness
+        # differentials are rewritten through the frame, on the series path.
         for v, a in enumerate(xe):
             c = a % mod
             if not c:
@@ -238,24 +238,20 @@ class DeRhamComplex:
             nxe = xe[:v] + (a - 1,) + xe[v + 1:]
             if not self.spec.fits_geom(nxe):
                 continue
-            free = v in self.free_geom
-            if free and v in J:
-                continue
-            if free and pres.is_normal_monomial(nxe):
-                pos = bisect_left(J, v)
-                self._add_term(row, nxe, te, J[:pos] + (v,) + J[pos:], K,
-                               wJ + self._weights[v], -c if pos % 2 else c,
-                               target_index, D, expected)
+            if v in self.free_geom:
+                if v not in J:
+                    pos = bisect_left(J, v)
+                    self._add_term(row, nxe, te, J[:pos] + (v,) + J[pos:], K,
+                                   wJ + self._weights[v],
+                                   -c if pos % 2 else c, target_index, D,
+                                   expected)
                 continue
             coeff = pres.reduce(PDSeries(self.spec, {(nxe, te): c}))
-            targets = [(v, None)] if free \
-                else sorted(self.frame().get(v, {}).items())
-            for w, factor in targets:
+            for w, factor in sorted(self.frame().get(v, {}).items()):
                 if w in J:
                     continue
                 pos = bisect_left(J, w)
-                val = coeff if factor is None else \
-                    pres.reduce(coeff.mul(_embed_spec(factor, self.spec)))
+                val = pres.reduce(coeff.mul(_embed_spec(factor, self.spec)))
                 self._distribute(val, J[:pos] + (w,) + J[pos:], K,
                                  -1 if pos % 2 else 1, target_index, row, D,
                                  expected)
@@ -370,6 +366,19 @@ def _embed_spec(f: PDSeries, spec: VarSpec) -> PDSeries:
     return PDSeries(spec, terms, f.prec)
 
 
+def level0_complex(A: Presentation, D: int) -> DeRhamComplex:
+    """The level-0 complex of A at D, one per D, kept on the presentation.
+
+    Like ``Presentation.mapping_tower``: its bases and differentials then
+    serve the Poincare check, the graded windows and the divisor report of
+    the same algebra.
+    """
+    cx = A.complexes.get(D)
+    if cx is None:
+        cx = A.complexes[D] = DeRhamComplex(PFSmObject(A, 0, D))
+    return cx
+
+
 # -- graded windows ----------------------------------------------------------
 
 
@@ -384,7 +393,7 @@ def graded_cells(A: Presentation, D: int):
         if not A.generators:
             return [0]
         return [None]
-    probe = DeRhamComplex(PFSmObject(A, 0, D))
+    probe = level0_complex(A, D)
     counts_E = {}
     for xe in probe._x_monomials(A.E):
         counts_E[probe.degree(xe)] = counts_E.get(probe.degree(xe), 0) + 1
@@ -426,19 +435,13 @@ def poincare_check(A: Presentation, m: int, D: int) -> CheckReport:
     elementary divisors of the level-m and level-0 complexes per certified
     graded degree.
     """
-    return _poincare_check(DeRhamComplex(PFSmObject(A, 0, D)), m,
-                           graded_cells(A, D))
-
-
-def _poincare_check(base: DeRhamComplex, m: int, cells) -> CheckReport:
-    """``poincare_check`` against a level-0 complex and its certified cells,
-    both shared with the caller."""
     if m < 0:
         raise ValueError("m must be >= 0")
     if m > 3:
         raise ValueError("m above 3 is not certified (cost control)")
-    A = base.base
-    col = DeRhamComplex(PFSmObject(A, m, base.obj.D))
+    col = DeRhamComplex(PFSmObject(A, m, D))
+    base = level0_complex(A, D)
+    cells = graded_cells(A, D)
     if not cells:
         return _no_certified_cells(f"poincare-{A.name}-m{m}", A, {"m": m})
     reports = []

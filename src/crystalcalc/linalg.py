@@ -464,8 +464,8 @@ def smith_valuations(M: Matrix):
     divisible by p^(v+1), and an elimination adds to it only multiples of
     p^(v+1) (its entry in the pivot column is such a multiple, so the
     multiplier of the pivot row is divisible by p): it gains no candidate
-    before the layer ends.  The Smith form is unique, so the pivot order does not change the
-    result.
+    before the layer ends.  The Smith form is unique, so the pivot order
+    does not change the result.
     """
     ring = M.ring
     mod, p = ring.modulus, ring.p

@@ -95,6 +95,7 @@ class Presentation:
             RewriteRule.from_relation(rel, lead, ring)
             for rel, lead in zip(self.relations, self.leads))
         self._towers = {}
+        self.complexes = {}  # level-0 de Rham complexes by D, see derham
 
     def __repr__(self):
         return f"Presentation({self.name}, p={self.ring.p}, N={self.ring.N})"
