@@ -40,20 +40,6 @@ class Matrix:
         self._sparse = cleaned
 
     @classmethod
-    def from_rows(cls, ring, rows, ncols=None):
-        rows = [list(r) for r in rows]
-        if ncols is None:
-            ncols = len(rows[0]) if rows else 0
-        entries = {}
-        for i, r in enumerate(rows):
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(r):
-                if v % ring.modulus:
-                    entries[(i, j)] = v
-        return cls(ring, len(rows), ncols, entries)
-
-    @classmethod
     def from_row_dicts(cls, ring, dicts, ncols):
         entries = {}
         for i, d in enumerate(dicts):
@@ -75,12 +61,6 @@ class Matrix:
         for (i, j), v in self._sparse.items():
             out[i][j] = v
         return out
-
-    def to_dense(self):
-        rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self._sparse.items():
-            rows[i][j] = v
-        return rows
 
     def is_zero(self):
         return not self._sparse
@@ -375,11 +355,16 @@ def kernel(M: Matrix) -> Matrix:
 
 
 class HowellBasis:
-    """A Howell form kept as row dicts, for repeated membership queries."""
+    """A Howell form kept as row dicts, for repeated membership queries.
+
+    With ``transforms`` the elimination also records, for each Howell row,
+    its coordinates over the input rows, and ``solve`` answers x*M = b for
+    any number of right-hand sides b from one elimination.
+    """
 
     __slots__ = ("ring", "ncols", "pivots", "_lead")
 
-    def __init__(self, ring, M_or_rows, ncols=None):
+    def __init__(self, ring, M_or_rows, ncols=None, transforms=False):
         if isinstance(M_or_rows, Matrix):
             rows = M_or_rows.row_dicts()
             ncols = M_or_rows.ncols
@@ -389,7 +374,8 @@ class HowellBasis:
                 raise ValueError("ncols required for raw rows")
         self.ring = ring
         self.ncols = ncols
-        self.pivots = _reduce_above(ring, _howell_engine(ring, rows)[0])
+        start = [{i: 1} for i in range(len(rows))] if transforms else None
+        self.pivots = _reduce_above(ring, _howell_engine(ring, rows, start)[0])
         self._lead = _pivot_map(ring, self.pivots)
 
     def __len__(self):
@@ -410,6 +396,20 @@ class HowellBasis:
         res, _ = self.reduce(vec)
         return not res
 
+    def solve(self, b: dict):
+        """Coordinates x over the input rows with x*M = b, or None.
+
+        Needs ``transforms``.  The particular solution returned is the
+        canonical one obtained by reducing b against the Howell form.
+        """
+        res, coords = self.reduce(b)
+        if res:
+            return None
+        x = {}
+        for idx, q in coords.items():
+            _sub_scaled(x, self.pivots[idx][2], -q, self.ring.modulus)
+        return x
+
 
 def _reduce(ring, lead, vec):
     """Reduce a row dict against Howell pivots given by ``_pivot_map``.
@@ -424,20 +424,9 @@ def _reduce(ring, lead, vec):
 def solve_in_rowspace(M: Matrix, b: dict):
     """Coordinates x (a dict over row indices) with x*M = b, or None.
 
-    b is a column->value dict.  The particular solution returned is the
-    canonical one obtained by reducing b against the Howell form of M.
+    b is a column->value dict; see ``HowellBasis.solve``.
     """
-    ring = M.ring
-    transforms = [{i: 1} for i in range(M.nrows)]
-    pivots, _ = _howell_engine(ring, M.row_dicts(), transforms)
-    pivots = _reduce_above(ring, pivots)
-    res, coords = _reduce(ring, _pivot_map(ring, pivots), b)
-    if res:
-        return None
-    x = {}
-    for idx, q in coords.items():
-        _sub_scaled(x, pivots[idx][2], -q, ring.modulus)
-    return x
+    return HowellBasis(M.ring, M, transforms=True).solve(b)
 
 
 def smith_valuations(M: Matrix):

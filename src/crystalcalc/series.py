@@ -353,6 +353,32 @@ class PDSeries:
         ``small`` must be topologically nilpotent: every term either has a
         p-divisible coefficient or positive T-degree.  Anything else (for
         instance 1 + x with x a unit variable) is rejected.
+
+        The inverse exists exactly when ``_unit_split`` succeeds, so that
+        step alone answers whether it exists.  Every term of eps has
+        p-valuation plus T-degree at least 1, and both add up under
+        multiplication, so every term of eps^k has them summing to at least
+        k.  A nonzero term has valuation below prec and T-degree at most D,
+        hence eps^(prec + D) = 0 and the geometric series
+        1 - eps + eps^2 - ... ends within the loop below.
+        """
+        inv_lead, eps = self._unit_split()
+        acc = PDSeries.one(self.spec, self.prec)
+        power = PDSeries.one(self.spec, self.prec)
+        sign = 1
+        for _ in range(self.prec + self.spec.D):
+            power = power.mul(eps)
+            if power.is_zero():
+                break
+            sign = -sign
+            acc = acc.add(power.scale(sign))
+        return acc.mul(inv_lead)
+
+    def _unit_split(self):
+        """(1/lead, eps) with  self = lead * (1 + eps), or NotInvertible.
+
+        The lead is the unique T-free monomial with a unit coefficient; it
+        must be invertible in the window, and eps topologically nilpotent.
         """
         spec = self.spec
         ring = spec.ring
@@ -376,24 +402,11 @@ class PDSeries:
         inv_lead = PDSeries(spec, {(neg_lxe, spec.zero_t()):
                                    pow(lc, -1, mod)}, self.prec)
         eps = self.mul(inv_lead).sub(PDSeries.one(spec, self.prec))
-        # eps is nilpotent: p-valuation plus T-degree of every term is >= 1
         for (xe, te), c in eps.terms.items():
             if sum(te) == 0 and ring.val(c) == 0:
                 raise NotInvertible("series is not unit + nilpotent",
                                     witness=(xe, te))
-        # geometric series 1 - eps + eps^2 - ... terminates by nilpotency
-        acc = PDSeries.one(spec, self.prec)
-        power = PDSeries.one(spec, self.prec)
-        sign = 1
-        for _ in range(self.prec + spec.D + 2):
-            power = power.mul(eps)
-            if power.is_zero():
-                break
-            sign = -sign
-            acc = acc.add(power.scale(sign))
-        else:
-            raise NotInvertible("nilpotency bound exceeded", witness=self)
-        return acc.mul(inv_lead)
+        return inv_lead, eps
 
 
 # -- divided powers of a series ---------------------------------------

@@ -21,13 +21,20 @@ term c*x^a*T^te then goes to c*x^a times that image.  The image has no x,
 since sigma fixes the geometric variables, so every product term keeps the
 x-monomial x^a of the input: it stays inside the window, and an input in
 quotient normal form gives an output in normal form, with no reduction.
+
+The simplicial identity check builds the structure images of each face and
+degeneracy once per check and composes them through ``pd_substitute``; it
+never reads the ``t_image`` cache, which it thereby certifies.  Division by
+the full variable product is prepared once per tower and level: the product
+multiples are eliminated into one Howell form with transforms, and each
+division is then a single reduction against it.
 """
 
 from itertools import permutations
 
 from .errors import (IncompatibleFaces, PrecisionExhausted,
                      SignConventionViolation, VarSpecMismatch)
-from .linalg import HowellBasis, Matrix, kernel, solve_in_rowspace
+from .linalg import HowellBasis, Matrix, kernel
 from .reports import CheckReport, merge_reports
 from .ring import ZpN
 from .series import PDSeries, VarSpec, pd_substitute
@@ -123,6 +130,8 @@ class LevelTower:
         self.variant = variant
         self._specs = {}
         self._t_images = {}
+        self._products = {}
+        self._product_spaces = {}
 
     def nvars(self, m):
         return m if self.variant == "interval" else m + 1
@@ -167,9 +176,7 @@ class LevelTower:
         Structure maps fix the geometric variables, so an image with an x
         term means the structure images are wrong.
         """
-        images = self._t_images.get(sigma)
-        if images is None:
-            images = self._t_images[sigma] = {}
+        images = self._images_of(sigma)
         img = images.get(te)
         if img is None:
             src = self.spec(sigma.m)
@@ -184,15 +191,26 @@ class LevelTower:
             images[te] = img
         return img
 
+    def _images_of(self, sigma: SimplexMap) -> dict:
+        """The cached T-monomial images of sigma, te -> image."""
+        images = self._t_images.get(sigma)
+        if images is None:
+            images = self._t_images[sigma] = {}
+        return images
+
     def apply_map(self, sigma: SimplexMap, f: PDSeries) -> PDSeries:
         """f under the ring map of sigma: x^a T^te goes to x^a t_image(te)."""
         src = self.spec(sigma.m)
         if f.spec is not src and f.spec != src:
             raise VarSpecMismatch(f"{f.spec} is not level {sigma.m} of the tower")
         mod = self.ring.p ** f.prec
+        images = self._images_of(sigma)
         out = {}
         for (xe, te), c in f.terms.items():
-            for (_x0, te2), c2 in self.t_image(sigma, te).terms.items():
+            img = images.get(te)
+            if img is None:
+                img = self.t_image(sigma, te)
+            for (_x0, te2), c2 in img.terms.items():
                 key = (xe, te2)
                 v = (out.get(key, 0) + c * c2) % mod
                 if v:
@@ -218,10 +236,35 @@ class LevelTower:
 
     def product(self, m) -> PDSeries:
         """The full product T_0 * ... * T_m at level m (interval variant)."""
-        out = PDSeries.one(self.spec(m))
-        for j in range(m + 1):
-            out = out.mul(self.var_or_derived(m, j))
-        return out
+        prod = self._products.get(m)
+        if prod is None:
+            prod = PDSeries.one(self.spec(m))
+            for j in range(m + 1):
+                prod = prod.mul(self.var_or_derived(m, j))
+            self._products[m] = prod
+        return prod
+
+    def _product_space(self, m):
+        """The row space of the product multiples at level m, cached.
+
+        Returns (monomials, index, space): the rows are the product times
+        T^te for each listed monomial te (total degree <= D - (m+1), so no
+        product truncates), over the level-m basis whose column numbers
+        ``index`` gives; ``space`` is their Howell form with transforms.
+        """
+        entry = self._product_spaces.get(m)
+        if entry is None:
+            spec = self.spec(m)
+            prod = self.product(m)
+            monos = t_monomials(self.nvars(m), self.D - (m + 1))
+            index = {te: k for k, te in enumerate(self.basis(m))}
+            rows = []
+            for te in monos:
+                img = prod.mul(PDSeries(spec, {(spec.zero_x(), te): 1}))
+                rows.append({index[t]: c for (_xe, t), c in img.terms.items()})
+            space = HowellBasis(self.ring, rows, len(index), transforms=True)
+            entry = self._product_spaces[m] = (monos, index, space)
+        return entry
 
     def boundary_class(self, m, f: PDSeries) -> PDSeries:
         """Canonical representative of f modulo the full variable product.
@@ -230,25 +273,17 @@ class LevelTower:
         classes modulo (T_0 * ... * T_m), represented by Howell reduction
         against the expanded product multiples on the window.
         """
-        spec = self.spec(m)
-        prod = self.product(m)
-        basis_idx = {te: k for k, te in enumerate(self.basis(m))}
-        rows = []
-        for te in t_monomials(self.nvars(m), self.D - (m + 1)):
-            mu = PDSeries(spec, {(spec.zero_x(), te): 1})
-            img = prod.mul(mu)
-            rows.append({basis_idx[t]: c for (_xe, t), c in img.terms.items()})
-        hb = HowellBasis(self.ring, rows, len(basis_idx))
+        _monos, index, space = self._product_space(m)
         out_terms = {}
         by_xe = {}
         for (xe, te), c in f.terms.items():
-            by_xe.setdefault(xe, {})[basis_idx[te]] = c
+            by_xe.setdefault(xe, {})[index[te]] = c
         basis = self.basis(m)
         for xe in sorted(by_xe):
-            res, _ = hb.reduce(by_xe[xe])
+            res, _ = space.reduce(by_xe[xe])
             for k, c in res.items():
                 out_terms[(xe, basis[k])] = c
-        return PDSeries(spec, out_terms, f.prec)
+        return PDSeries(self.spec(m), out_terms, f.prec)
 
     def reduction(self, m, f: PDSeries) -> PDSeries:
         """Reduce modulo (p, T): kill the interval variables, coefficients mod p."""
@@ -294,7 +329,10 @@ def verify_simplicial_identities(ring: ZpN, D: int, m_max: int,
 
     Compares composed structure morphisms on every free generator.  The
     optional ``tamper=(kind, m, i)`` hook corrupts one structure map, as a
-    negative control that the comparison actually bites.
+    negative control that the comparison actually bites.  Each map's images
+    are built once, and the corruption is applied as they are built, so
+    every identity that uses the tampered map sees the same corrupted map.
+    A map from level 0 of the interval variant has no variable to corrupt.
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
@@ -303,15 +341,20 @@ def verify_simplicial_identities(ring: ZpN, D: int, m_max: int,
     if D < 1:
         raise ValueError("D must be >= 1: the interval variables need degree 1")
     tower = LevelTower(ring, D, variant=variant)
+    memo = {}
 
     def images_of(kind, m, i):
-        """Structure images plus the level they land in."""
+        """Structure images plus the level they land in, built once."""
+        key = (kind, m, i)
+        entry = memo.get(key)
+        if entry is not None:
+            return entry
         if kind == "d":
             sigma = SimplexMap.coface(m, i)
         else:
             sigma = SimplexMap.codegeneracy(m, i)
         images = tower.structure_images(sigma)
-        if tamper == (kind, m, i) and images:
+        if tamper == key and images:
             # corrupt one image without leaving the ideal (p, T)
             name = sorted(images)[0]
             if tower.nvars(sigma.n) >= 1:
@@ -319,7 +362,8 @@ def verify_simplicial_identities(ring: ZpN, D: int, m_max: int,
             else:
                 bump = PDSeries.constant(tower.spec(sigma.n), ring.p)
             images[name] = images[name].add(bump)
-        return images, sigma.n
+        entry = memo[key] = (images, sigma.n)
+        return entry
 
     def compose(first, then_):
         """Apply ``first`` then ``then_``; both are (images, target) pairs."""
@@ -630,33 +674,21 @@ def divide_by_variable_product(tower: LevelTower, m: int, g: PDSeries):
 
     The product is free of geometric variables, so the division splits over
     the geometric monomials of g and each piece is a small linear solve in
-    the interval-variable coordinates.
+    the interval-variable coordinates, against the product multiples that
+    the tower eliminates once per level.
     """
-    spec = tower.spec(m)
-    prod = tower.product(m)
-    gen_monos = t_monomials(tower.nvars(m), tower.D - (m + 1))
-    basis_idx = {te: k for k, te in enumerate(tower.basis(m))}
-    rows = []
-    for te in gen_monos:
-        mu = PDSeries(spec, {(spec.zero_x(), te): 1})
-        img = prod.mul(mu)
-        vec = {}
-        for (_xe, te2), c in img.terms.items():
-            vec[basis_idx[te2]] = c
-        rows.append(vec)
-    M = Matrix.from_row_dicts(tower.ring, rows, len(basis_idx))
-
+    monos, index, space = tower._product_space(m)
     by_xe = {}
     for (xe, te), c in g.terms.items():
-        by_xe.setdefault(xe, {})[basis_idx[te]] = c
+        by_xe.setdefault(xe, {})[index[te]] = c
     q_terms = {}
     for xe in sorted(by_xe):
-        x = solve_in_rowspace(M, by_xe[xe])
+        x = space.solve(by_xe[xe])
         if x is None:
             return None
         for k, v in x.items():
-            q_terms[(xe, gen_monos[k])] = v
-    return PDSeries(spec, q_terms, g.prec)
+            q_terms[(xe, monos[k])] = v
+    return PDSeries(tower.spec(m), q_terms, g.prec)
 
 
 def fill_boundary(tower: LevelTower, m: int, faces, base: PDSeries) -> PDSeries:

@@ -184,7 +184,23 @@ class Presentation:
         try:
             return self.reduce(f.inverse())
         except NotInvertible:
-            pass
+            return self._solve_inverse(f)
+
+    def require_unit(self, f: PDSeries):
+        """Raise NotInvertible unless f is a unit of the windowed quotient.
+
+        The same answer as ``quotient_inverse`` without computing the
+        inverse: when the unit + nilpotent split of f exists, so does its
+        geometric-series inverse (see ``PDSeries.inverse``); only when it
+        does not is the linear solve needed.
+        """
+        try:
+            f._unit_split()
+        except NotInvertible:
+            self._solve_inverse(f)
+
+    def _solve_inverse(self, f: PDSeries) -> PDSeries:
+        """The canonical solution x of f*x = 1 in the windowed quotient."""
         spec = f.spec
         basis = self.quotient_basis(spec)
         index = {b: k for k, b in enumerate(basis)}
@@ -245,7 +261,7 @@ class Presentation:
         spec = small.carrier()
         det = small.witness_determinant(spec)
         try:
-            small.quotient_inverse(det)
+            small.require_unit(det)
         except NotInvertible as exc:
             raise WitnessNotInvertible(
                 f"witness minor of {self.name} is not invertible mod p",
@@ -403,7 +419,7 @@ class Morphism:
                     witness=val)
         for g in self.source.generators:
             if g.kind == "laurent":
-                self.target.quotient_inverse(self.images[g.name])
+                self.target.require_unit(self.images[g.name])
         return self
 
     def residuals(self):

@@ -20,6 +20,8 @@ from crystalcalc.series import PDSeries, pd_substitute
 from crystalcalc.simplicial import LevelTower, SimplexMap
 from crystalcalc.smoothlift import catalog
 
+from dense_matrices import to_dense
+
 R33 = ZpN(3, 3)
 
 
@@ -34,8 +36,8 @@ def test_face_values_level1_forms():
     # gamma_k(p) = p^k / k!
     col0_dim = len(dc.columns[0].basis(0))
     assert col0_dim == 1
-    d0 = f0.to_dense()
-    d1 = f1.to_dense()
+    d0 = to_dense(f0)
+    d1 = to_dense(f1)
     for k, b in enumerate(basis0):
         weight = sum(b.te)
         assert d0[k][0] == (1 if weight == 0 else 0)

@@ -1,6 +1,7 @@
 """Interval-ring structure maps, boundary kernel, regularity, fillers."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,6 +10,7 @@ from crystalcalc.errors import (
     SignConventionViolation,
     VarSpecMismatch,
 )
+from crystalcalc.linalg import Matrix, solve_in_rowspace
 from crystalcalc.ring import ZpN
 from crystalcalc.series import GeomVar, PDSeries, pd_substitute
 from crystalcalc.simplicial import (
@@ -149,6 +151,86 @@ def test_simplicial_identities_corrupted():
                                        variant="interval",
                                        tamper=("d", 1, 0))
     assert not rep.passed
+
+
+def _structure_keys(m_top):
+    """Every (kind, m, i) of a face or degeneracy from a level m <= m_top."""
+    keys = [("d", m, i) for m in range(1, m_top + 1) for i in range(m + 1)]
+    keys += [("s", m, i) for m in range(m_top + 1) for i in range(m + 1)]
+    return keys
+
+
+def _structure_map(kind, m, i):
+    return SimplexMap.coface(m, i) if kind == "d" \
+        else SimplexMap.codegeneracy(m, i)
+
+
+def _tampered_images(target):
+    """``LevelTower.structure_images`` with the check's own corruption of
+    the map ``target`` applied on every build."""
+    original = LevelTower.structure_images
+
+    def images(self, sigma):
+        out = original(self, sigma)
+        if sigma == target and out:
+            name = sorted(out)[0]
+            if self.nvars(sigma.n):
+                bump = self.var(sigma.n, 0)
+            else:
+                bump = PDSeries.constant(self.spec(sigma.n), self.ring.p)
+            out[name] = out[name].add(bump)
+        return out
+
+    return images
+
+
+@pytest.mark.parametrize("variant", ["free", "interval"])
+def test_every_tampered_structure_map_is_caught(variant, monkeypatch):
+    # the check builds each map's images once; the one corruption must
+    # reach every identity that uses the tampered map.  The reference run
+    # corrupts the images as they are built, outside the check.
+    ring = ZpN(2, 2)
+    clean = verify_simplicial_identities(ring, D=3, m_max=3, variant=variant)
+    assert clean.passed, clean.witness
+    original = LevelTower.structure_images
+    for kind, m, i in _structure_keys(3):
+        if variant == "interval" and m == 0:
+            continue  # level 0 of the interval tower has no variable to map
+        rep = verify_simplicial_identities(ring, D=3, m_max=3,
+                                           variant=variant,
+                                           tamper=(kind, m, i))
+        monkeypatch.setattr(LevelTower, "structure_images",
+                            _tampered_images(_structure_map(kind, m, i)))
+        ref = verify_simplicial_identities(ring, D=3, m_max=3,
+                                           variant=variant)
+        monkeypatch.setattr(LevelTower, "structure_images", original)
+        assert not rep.passed, (kind, m, i)
+        assert (rep.witness, rep.details) == (ref.witness, ref.details)
+
+
+def test_identity_check_builds_each_structure_map_once(monkeypatch):
+    calls = {}
+    original = LevelTower.structure_images
+
+    def counted(self, sigma):
+        calls[sigma] = calls.get(sigma, 0) + 1
+        return original(self, sigma)
+
+    def forbidden(self, sigma, te):
+        raise AssertionError("the identity check must not read t_image")
+
+    monkeypatch.setattr(LevelTower, "structure_images", counted)
+    monkeypatch.setattr(LevelTower, "t_image", forbidden)
+    for variant in ("free", "interval"):
+        calls.clear()
+        rep = verify_simplicial_identities(ZpN(3, 2), D=4, m_max=4,
+                                           variant=variant)
+        assert rep.passed, rep.witness
+        # faces from levels 1..4 and degeneracies from levels 0..5 (the
+        # identities at level 4 reach degeneracies of level 5)
+        keys = _structure_keys(4) + [("s", 5, i) for i in range(6)]
+        assert set(calls) == {_structure_map(*key) for key in keys}
+        assert set(calls.values()) == {1}
 
 
 # -- boundary restriction -------------------------------------------------
@@ -328,6 +410,73 @@ def test_fill_rejects_wrong_base():
     base = tw.reduction(0, PDSeries.constant(tw.spec(0), 1))
     with pytest.raises(IncompatibleFaces):
         fill_boundary(tw, 1, faces, base)
+
+
+def _fresh_division(tower, m, g):
+    """divide_by_variable_product rebuilt from scratch: the product
+    multiples as a new matrix, one solve_in_rowspace per x-monomial."""
+    spec = tower.spec(m)
+    prod = PDSeries.one(spec)
+    for j in range(m + 1):
+        prod = prod.mul(tower.var_or_derived(m, j))
+    monos = t_monomials(tower.nvars(m), tower.D - (m + 1))
+    index = {te: k for k, te in enumerate(tower.basis(m))}
+    rows = [{index[t]: c for (_xe, t), c in
+             prod.mul(PDSeries(spec, {(spec.zero_x(), te): 1})).terms.items()}
+            for te in monos]
+    M = Matrix.from_row_dicts(tower.ring, rows, len(index))
+    by_xe = {}
+    for (xe, te), c in g.terms.items():
+        by_xe.setdefault(xe, {})[index[te]] = c
+    q = {}
+    for xe, vec in sorted(by_xe.items()):
+        x = solve_in_rowspace(M, vec)
+        if x is None:
+            return None
+        q.update({(xe, monos[k]): v for k, v in x.items()})
+    return PDSeries(spec, q, g.prec)
+
+
+def test_product_division_matches_a_fresh_solve():
+    # one prepared row space per (tower, level) answers every division as
+    # a fresh elimination would, at any precision of the input
+    ring = ZpN(3, 3)
+    gm = catalog("gm", ring, E=2)
+    rng = random.Random(8)
+    towers = [LevelTower(ring, 6), LevelTower(ring, 4),
+              LevelTower(ring, 6, geom=gm.generators, E=2)]
+    outcomes = Counter()
+    for _ in range(3):
+        for tower in towers:
+            for m in (1, 2):
+                spec = tower.spec(m)
+                prec = rng.randint(1, ring.N)
+                q = {}
+                for te in t_monomials(tower.nvars(m), tower.D - (m + 1)):
+                    for xe in ([spec.zero_x()] if not tower.geom
+                               else [(-1,), (0,), (2,)]):
+                        if rng.random() < 0.5:
+                            q[(xe, te)] = rng.randrange(ring.modulus)
+                g = tower.product(m).mul(PDSeries(spec, q, prec))
+                got = divide_by_variable_product(tower, m, g)
+                assert got == _fresh_division(tower, m, g)
+                if got is not None:
+                    assert tower.product(m).mul(got) == g
+                outcomes[prec == ring.N] += 1
+                if prec < ring.N:
+                    continue
+                assert got is not None
+                # adding p^(N-1) * T0 leaves the product multiples
+                t0 = (1,) + (0,) * (tower.nvars(m) - 1)
+                bad = g.add(PDSeries(spec, {(spec.zero_x(), t0):
+                                            ring.p ** (ring.N - 1)}))
+                assert divide_by_variable_product(tower, m, bad) is None
+                assert _fresh_division(tower, m, bad) is None
+    assert outcomes[True] and outcomes[False], outcomes
+    # towers of different D keep their own prepared row spaces
+    spaces = [t._product_space(2)[2] for t in towers[:2]]
+    assert spaces[0] is not spaces[1]
+    assert len(spaces[0].pivots) != len(spaces[1].pivots)
 
 
 def test_boundary_class_kills_product():

@@ -7,10 +7,12 @@ import pytest
 from crystalcalc.errors import (
     IncompatibleFaces,
     NotCongruent,
+    NotInvertible,
     WitnessNotInvertible,
 )
 from crystalcalc.ring import ZpN
 from crystalcalc.series import PDSeries
+from crystalcalc.simplicial import t_monomials
 from crystalcalc.smoothlift import (
     Homotopy,
     Morphism,
@@ -97,6 +99,62 @@ def test_quotient_inverse_of_generator():
     inv = A.quotient_inverse(x)
     assert A.reduce(inv.mul(x)) == PDSeries.one(spec)
     assert inv == PDSeries.geom_var(spec, "y")
+
+
+def _raises_not_invertible(call):
+    try:
+        call()
+    except NotInvertible:
+        return True
+    return False
+
+
+def _random_carrier_series(A, spec, rng):
+    """A few monomials of the carrier, unit or p-divisible coefficients,
+    often with one unit T-free monomial in front."""
+    p, mod = spec.ring.p, spec.ring.modulus
+    ranges = [range(-2, 3) if g.kind == "laurent" else range(0, 3)
+              for g in A.generators]
+    xes = [()]
+    for r in ranges:
+        xes = [xe + (e,) for xe in xes for e in r]
+    tes = t_monomials(len(spec.pd), spec.D)
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        c = rng.randrange(1, mod)
+        terms[(rng.choice(xes), rng.choice(tes))] = \
+            c if rng.random() < 0.4 else p * c
+    if rng.random() < 0.6:
+        terms[(rng.choice(xes), spec.zero_t())] = rng.choice((1, p - 1))
+    return PDSeries(spec, terms)
+
+
+def test_unit_test_agrees_with_quotient_inverse():
+    # the existence-only test must answer exactly as quotient_inverse does,
+    # also where the unit + nilpotent split fails but a linear solve finds
+    # an inverse (x in x*y = 1, or 1 + x^E with x^(E+1) outside the window)
+    ring = ZpN(3, 2)
+    rng = random.Random(11)
+    seen = {"split": 0, "solve": 0, "none": 0}
+    for A in (catalog("gm", ring, E=2), catalog("a1", ring, E=2),
+              unit_pair_presentation(ring, E=2)):
+        for level in range(3):
+            spec = A.carrier(D=2, level=level)
+            samples = [_random_carrier_series(A, spec, rng)
+                       for _ in range(25)]
+            x = PDSeries.geom_var(spec, "x")
+            samples += [x, PDSeries.one(spec).add(x.power(2))]
+            for f in samples:
+                fails = _raises_not_invertible(lambda: A.require_unit(f))
+                assert fails == _raises_not_invertible(
+                    lambda: A.quotient_inverse(f)), (A.name, level, f)
+                if fails:
+                    seen["none"] += 1
+                elif _raises_not_invertible(f._unit_split):
+                    seen["solve"] += 1
+                else:
+                    seen["split"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_ell_reduce_power():
