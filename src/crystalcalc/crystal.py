@@ -17,6 +17,15 @@ normalized part of a column whose faces restrict to isomorphisms on
 cohomology is acyclic, so the truncated normalized totalization stabilizes
 already between M = 1 and M = 2.  Degrees up to M-1 are certified and the
 stabilization check guards the boundary.
+
+The normalized rows N of Tot^i span exactly {y : y*F = 0}, where F puts
+the faces 1..m of each block (m, q) side by side (column 0 has none).  So
+the normalized cocycles need no change of coordinates:
+
+    span(N) meet ker d  =  {y : y*d = 0 and y*F = 0}  =  left kernel of [d | F],
+
+one elimination in Tot^i coordinates whose Howell form is the same as that
+of the rows x*N with x*(N*d) = 0.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +33,8 @@ from dataclasses import dataclass, field
 from .derham import (DeRhamComplex, FormBasis, PFSmObject, graded_cells,
                      level0_complex, _no_certified_cells)
 from .errors import CatalogMismatch, SignConventionViolation
-from .linalg import ElementaryDivisors, Matrix, kernel, subquotient
+from .linalg import (ElementaryDivisors, Matrix, _kernel_pivots, _subquotient,
+                     kernel)
 from .reports import CheckReport, merge_reports
 # faces substitute through the tower's cache; the name stays importable here
 from .series import pd_substitute  # noqa: F401
@@ -240,6 +250,20 @@ class DoubleComplex:
 
     # -- normalized part ----------------------------------------------------
 
+    def _stacked_faces(self, m, q, g):
+        """Faces 1..m of column m on q-forms side by side, as entry pairs.
+
+        Returns (entries, width); the i-th face fills columns
+        (i-1)*t .. i*t - 1, t the dimension of column m-1 in form degree q.
+        Its left kernel is the normalized part of the block.
+        """
+        tdim = len(self.columns[m - 1].basis(q, g))
+        entries = {}
+        for i in range(1, m + 1):
+            for (r, j), v in self.face_matrix(m, i, q, g)._iter_entries():
+                entries[(r, (i - 1) * tdim + j)] = v
+        return entries, m * tdim
+
     def normalized_rows(self, m, q, g=None) -> Matrix:
         """Howell rows spanning the joint kernel of faces 1..m on q-forms."""
         key = ("n", m, q, g)
@@ -248,14 +272,9 @@ class DoubleComplex:
             if m == 0:
                 self._hmat_cache[key] = Matrix.identity(self.A.ring, dim)
             else:
-                stacked_entries = {}
-                tdim = len(self.columns[m - 1].basis(q, g))
-                for i in range(1, m + 1):
-                    mat = self.face_matrix(m, i, q, g)
-                    for (r, j), v in mat._iter_entries():
-                        stacked_entries[(r, (i - 1) * tdim + j)] = v
-                stacked = Matrix(self.A.ring, dim, m * tdim, stacked_entries)
-                self._hmat_cache[key] = kernel(stacked)
+                entries, width = self._stacked_faces(m, q, g)
+                self._hmat_cache[key] = kernel(
+                    Matrix(self.A.ring, dim, width, entries))
         return self._hmat_cache[key]
 
     def normalized_tot_rows(self, i, g=None) -> Matrix:
@@ -272,19 +291,39 @@ class DoubleComplex:
                 row += 1
         return Matrix(self.A.ring, row, dim, entries)
 
+    def normalized_cocycle_matrix(self, i, g=None) -> Matrix:
+        """[d_i | F_i]: its left kernel is the normalized cocycles of Tot^i.
+
+        F_i puts the stacked faces 1..m of each block (m, q) of Tot^i in
+        columns of their own, right of the differential; column-0 blocks
+        have no faces and no columns there.
+        """
+        d = self.tot_matrix(i, g)
+        offsets, _dim = self._offsets(self.tot_blocks(i), g)
+        entries = dict(d._iter_entries())
+        width = d.ncols
+        for (m, q), base in offsets.items():
+            if m == 0:
+                continue
+            faces, block_width = self._stacked_faces(m, q, g)
+            for (r, j), v in faces.items():
+                entries[(base + r, width + j)] = v
+            width += block_width
+        return Matrix(self.A.ring, d.nrows, width, entries)
+
     def total_cohomology(self, i, g=None) -> ElementaryDivisors:
-        """Cohomology of the normalized truncated totalization at degree i."""
+        """Cohomology of the normalized truncated totalization at degree i.
+
+        The cocycles come as the Howell pivots of one left kernel in Tot^i
+        coordinates; ``_subquotient`` certifies that every normalized
+        boundary lies in their span.
+        """
         key = (i, g)
         if key not in self._tot_cache:
-            n_here = self.normalized_tot_rows(i, g)
-            n_prev = self.normalized_tot_rows(i - 1, g)
-            d_here = self.tot_matrix(i, g)
-            d_prev = self.tot_matrix(i - 1, g)
-            # kernel inside the normalized span: x * (N * d) = 0 -> rows x * N
-            ker_x = kernel(n_here.mul(d_here))
-            ker_rows = ker_x.mul(n_here)
-            im_rows = n_prev.mul(d_prev)
-            self._tot_cache[key] = subquotient(ker_rows, im_rows)
+            cocycles = _kernel_pivots(self.normalized_cocycle_matrix(i, g))
+            im_rows = self.normalized_tot_rows(i - 1, g).mul(
+                self.tot_matrix(i - 1, g))
+            self._tot_cache[key] = _subquotient(cocycles, im_rows)
         return self._tot_cache[key]
 
     def augmentation_is_chain_map(self, g=None) -> CheckReport:

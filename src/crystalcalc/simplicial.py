@@ -244,15 +244,20 @@ class LevelTower:
             self._products[m] = prod
         return prod
 
-    def _product_space(self, m):
+    def _product_space(self, m, prec=None):
         """The row space of the product multiples at level m, cached.
 
         Returns (monomials, index, space): the rows are the product times
         T^te for each listed monomial te (total degree <= D - (m+1), so no
         product truncates), over the level-m basis whose column numbers
         ``index`` gives; ``space`` is their Howell form with transforms.
+        At a precision prec < N the rows p^prec * e_j follow, one per basis
+        column, so that ``space`` solves modulo p^prec; coordinates past the
+        listed monomials belong to those rows.
         """
-        entry = self._product_spaces.get(m)
+        N = self.ring.N
+        prec = N if prec is None else prec
+        entry = self._product_spaces.get((m, prec))
         if entry is None:
             spec = self.spec(m)
             prod = self.product(m)
@@ -262,8 +267,10 @@ class LevelTower:
             for te in monos:
                 img = prod.mul(PDSeries(spec, {(spec.zero_x(), te): 1}))
                 rows.append({index[t]: c for (_xe, t), c in img.terms.items()})
+            if prec < N:
+                rows += [{j: self.ring.p ** prec} for j in range(len(index))]
             space = HowellBasis(self.ring, rows, len(index), transforms=True)
-            entry = self._product_spaces[m] = (monos, index, space)
+            entry = self._product_spaces[(m, prec)] = (monos, index, space)
         return entry
 
     def boundary_class(self, m, f: PDSeries) -> PDSeries:
@@ -332,7 +339,9 @@ def verify_simplicial_identities(ring: ZpN, D: int, m_max: int,
     negative control that the comparison actually bites.  Each map's images
     are built once, and the corruption is applied as they are built, so
     every identity that uses the tampered map sees the same corrupted map.
-    A map from level 0 of the interval variant has no variable to corrupt.
+    A tamper that corrupts nothing raises ValueError instead of letting the
+    check pass: a map the check never builds, or a map from level 0 of the
+    interval variant, which has no variable to corrupt.
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
@@ -354,7 +363,10 @@ def verify_simplicial_identities(ring: ZpN, D: int, m_max: int,
         else:
             sigma = SimplexMap.codegeneracy(m, i)
         images = tower.structure_images(sigma)
-        if tamper == key and images:
+        if tamper == key:
+            if not images:
+                raise ValueError(f"tamper={key!r}: the map has no image "
+                                 "to corrupt")
             # corrupt one image without leaving the ideal (p, T)
             name = sorted(images)[0]
             if tower.nvars(sigma.n) >= 1:
@@ -434,6 +446,8 @@ def verify_simplicial_identities(ring: ZpN, D: int, m_max: int,
                         failures.append(
                             f"augmentation broken by {kind}{i} at level {m} on {name}")
 
+    if tamper is not None and tamper not in memo:
+        raise ValueError(f"tamper={tamper!r}: the check never builds that map")
     if failures:
         return CheckReport("simplicial-identities", False,
                            witness=failures[0],
@@ -670,14 +684,15 @@ def regular_sequence_suite(p: int, N: int, D: int, m: int) -> CheckReport:
 
 
 def divide_by_variable_product(tower: LevelTower, m: int, g: PDSeries):
-    """Solve  (T_0 * ... * T_m) * q = g  at level m, or return None.
+    """Solve  (T_0 * ... * T_m) * q = g  at level m and g's precision, or
+    return None.
 
     The product is free of geometric variables, so the division splits over
     the geometric monomials of g and each piece is a small linear solve in
     the interval-variable coordinates, against the product multiples that
-    the tower eliminates once per level.
+    the tower eliminates once per level and precision.
     """
-    monos, index, space = tower._product_space(m)
+    monos, index, space = tower._product_space(m, g.prec)
     by_xe = {}
     for (xe, te), c in g.terms.items():
         by_xe.setdefault(xe, {})[index[te]] = c
@@ -687,7 +702,8 @@ def divide_by_variable_product(tower: LevelTower, m: int, g: PDSeries):
         if x is None:
             return None
         for k, v in x.items():
-            q_terms[(xe, monos[k])] = v
+            if k < len(monos):
+                q_terms[(xe, monos[k])] = v
     return PDSeries(tower.spec(m), q_terms, g.prec)
 
 

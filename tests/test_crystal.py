@@ -13,8 +13,9 @@ from crystalcalc.crystal import (
 )
 from crystalcalc.cli import main
 from crystalcalc.derham import FormBasis, graded_cells
-from crystalcalc.errors import SignConventionViolation
-from crystalcalc.linalg import ElementaryDivisors, Matrix
+from crystalcalc.errors import ContainmentViolation, SignConventionViolation
+from crystalcalc.linalg import (ElementaryDivisors, HowellBasis, Matrix,
+                                _kernel_pivots, kernel, subquotient)
 from crystalcalc.ring import ZpN
 from crystalcalc.series import PDSeries, pd_substitute
 from crystalcalc.simplicial import LevelTower, SimplexMap
@@ -351,3 +352,108 @@ def test_compare_verb_builds_one_double_complex(monkeypatch, tmp_path):
                  "--D", "3", "--E", "4", "--M", "2", "--out", str(out)])
     assert code == 0
     assert len(builds) == 1
+
+
+# -- normalized cocycles as one left kernel -------------------------------------
+
+
+def _reference_normalized_tot_rows(dc, i, g):
+    """The normalized rows of Tot^i from the face matrices alone: per block
+    (m, q), the left kernel of faces 1..m side by side."""
+    ring = dc.A.ring
+    rows, offset = [], 0
+    for m, q in dc.tot_blocks(i):
+        dim = len(dc.columns[m].basis(q, g))
+        if m == 0:
+            block = [{k: 1} for k in range(dim)]
+        else:
+            faces = [dc.face_matrix(m, k, q, g) for k in range(1, m + 1)]
+            width = faces[0].ncols
+            stacked = [{} for _ in range(dim)]
+            for k, face in enumerate(faces):
+                for r, row in enumerate(face.row_dicts()):
+                    stacked[r].update({k * width + j: v for j, v in row.items()})
+            block = kernel(Matrix.from_row_dicts(ring, stacked, m * width)) \
+                .row_dicts()
+        rows += [{offset + j: v for j, v in r.items()} for r in block]
+        offset += dim
+    return Matrix.from_row_dicts(ring, rows, offset)
+
+
+def _reference_cocycles(dc, i, g):
+    """The normalized cocycles of Tot^i by a change of coordinates: the x
+    with x*(N*d) = 0, mapped back to the rows x*N."""
+    n_here = _reference_normalized_tot_rows(dc, i, g)
+    ker_x = kernel(n_here.mul(dc.tot_matrix(i, g)))
+    return ker_x.mul(n_here)
+
+
+def _reference_total_cohomology(dc, i, g):
+    im_rows = _reference_normalized_tot_rows(dc, i - 1, g).mul(
+        dc.tot_matrix(i - 1, g))
+    return subquotient(_reference_cocycles(dc, i, g), im_rows)
+
+
+def _assert_cocycles_match_reference(dc):
+    cells = 0
+    q_max = dc.columns[0].max_form_degree()
+    for g in graded_cells(dc.A, dc.D):
+        for i in range(-dc.M, q_max + 1):
+            got = [row for (_c, row, _t, _v) in
+                   _kernel_pivots(dc.normalized_cocycle_matrix(i, g))]
+            want = HowellBasis(dc.A.ring, _reference_cocycles(dc, i, g)).rows()
+            assert got == want, (dc.M, i, g)
+            assert dc.total_cohomology(i, g) == \
+                _reference_total_cohomology(dc, i, g), (dc.M, i, g)
+            cells += 1
+    return cells
+
+
+@pytest.mark.parametrize("name,p,N,D,E", [
+    ("point", 3, 3, 4, 4),
+    ("point", 2, 2, 3, 4),
+    ("a1", 2, 3, 3, 4),
+    ("a1", 3, 2, 3, 5),
+    ("gm", 3, 3, 3, 4),
+    ("gm", 2, 2, 3, 3),
+])
+def test_cocycle_kernel_matches_change_of_coordinates(name, p, N, D, E):
+    # the left kernel of [d | F] has exactly the Howell rows of the rows
+    # x*N with x*(N*d) = 0, and the cohomology divisors agree
+    A = catalog(name, ZpN(p, N), E=E)
+    cells = 0
+    for M in (1, 2, 3):
+        dc = DoubleComplex(A, M, D)
+        cells += _assert_cocycles_match_reference(dc)
+        cells += _assert_cocycles_match_reference(dc.truncated(M - 1))
+    assert cells > 0
+
+
+def test_cocycle_kernel_matches_change_of_coordinates_ungraded():
+    A = catalog("ell-3-1-2", ZpN(3, 2), E=3)
+    dc = DoubleComplex(A, 2, 2)
+    assert graded_cells(A, 2) == [None]
+    assert _assert_cocycles_match_reference(dc) > 0
+
+
+def test_image_outside_the_normalized_cocycles_is_rejected():
+    # corrupt one entry of the cached d_(i-1) so that d o d != 0 on a
+    # normalized row: the subquotient must refuse the image
+    A = catalog("gm", ZpN(3, 2), E=4)
+    dc = DoubleComplex(A, 2, 3)
+    i, g = 0, 1
+    ring = A.ring
+    d_prev, d_here = dc.tot_matrix(i - 1, g), dc.tot_matrix(i, g)
+    n_prev = dc.normalized_tot_rows(i - 1, g)
+    assert n_prev.mul(d_prev).mul(d_here).is_zero()
+    # a column r where some normalized row has a unit, and a row j of d_i
+    # with a unit entry
+    r = min(c for (_k, c), v in n_prev._iter_entries() if v % ring.p)
+    j = min(k for (k, _c), v in d_here._iter_entries() if v % ring.p)
+    entries = dict(d_prev._iter_entries())
+    entries[(r, j)] = entries.get((r, j), 0) + 1
+    corrupted = Matrix(ring, d_prev.nrows, d_prev.ncols, entries)
+    assert not n_prev.mul(corrupted).mul(d_here).is_zero()
+    dc._tot_cache[("d", i - 1, g)] = corrupted
+    with pytest.raises(ContainmentViolation):
+        dc.total_cohomology(i, g)

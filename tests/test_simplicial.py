@@ -1,6 +1,7 @@
 """Interval-ring structure maps, boundary kernel, regularity, fillers."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -151,6 +152,18 @@ def test_simplicial_identities_corrupted():
                                        variant="interval",
                                        tamper=("d", 1, 0))
     assert not rep.passed
+
+
+@pytest.mark.parametrize("variant,key", [
+    ("interval", ("s", 0, 0)),  # level 0 has no variable to corrupt
+    ("interval", ("d", 9, 0)),  # a face the check never builds
+    ("free", ("d", 9, 0)),
+])
+def test_tamper_that_corrupts_nothing_is_rejected(variant, key):
+    # a negative control that changes no map must not report pass
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        verify_simplicial_identities(ZpN(2, 2), D=4, m_max=2,
+                                     variant=variant, tamper=key)
 
 
 def _structure_keys(m_top):
@@ -414,7 +427,8 @@ def test_fill_rejects_wrong_base():
 
 def _fresh_division(tower, m, g):
     """divide_by_variable_product rebuilt from scratch: the product
-    multiples as a new matrix, one solve_in_rowspace per x-monomial."""
+    multiples, and below precision N the rows p^prec * e_j, as a new matrix;
+    one solve_in_rowspace per x-monomial, keeping the product coordinates."""
     spec = tower.spec(m)
     prod = PDSeries.one(spec)
     for j in range(m + 1):
@@ -424,6 +438,8 @@ def _fresh_division(tower, m, g):
     rows = [{index[t]: c for (_xe, t), c in
              prod.mul(PDSeries(spec, {(spec.zero_x(), te): 1})).terms.items()}
             for te in monos]
+    if g.prec < tower.ring.N:
+        rows += [{j: tower.ring.p ** g.prec} for j in range(len(index))]
     M = Matrix.from_row_dicts(tower.ring, rows, len(index))
     by_xe = {}
     for (xe, te), c in g.terms.items():
@@ -433,13 +449,13 @@ def _fresh_division(tower, m, g):
         x = solve_in_rowspace(M, vec)
         if x is None:
             return None
-        q.update({(xe, monos[k]): v for k, v in x.items()})
+        q.update({(xe, monos[k]): v for k, v in x.items() if k < len(monos)})
     return PDSeries(spec, q, g.prec)
 
 
 def test_product_division_matches_a_fresh_solve():
-    # one prepared row space per (tower, level) answers every division as
-    # a fresh elimination would, at any precision of the input
+    # one prepared row space per (tower, level, precision) answers every
+    # division as a fresh elimination would, at any precision of the input
     ring = ZpN(3, 3)
     gm = catalog("gm", ring, E=2)
     rng = random.Random(8)
@@ -460,16 +476,14 @@ def test_product_division_matches_a_fresh_solve():
                 g = tower.product(m).mul(PDSeries(spec, q, prec))
                 got = divide_by_variable_product(tower, m, g)
                 assert got == _fresh_division(tower, m, g)
-                if got is not None:
-                    assert tower.product(m).mul(got) == g
-                outcomes[prec == ring.N] += 1
-                if prec < ring.N:
-                    continue
+                # a genuine multiple divides at its own precision
                 assert got is not None
-                # adding p^(N-1) * T0 leaves the product multiples
+                assert tower.product(m).mul(got) == g
+                outcomes[prec == ring.N] += 1
+                # adding p^(prec-1) * T0 leaves the product multiples
                 t0 = (1,) + (0,) * (tower.nvars(m) - 1)
                 bad = g.add(PDSeries(spec, {(spec.zero_x(), t0):
-                                            ring.p ** (ring.N - 1)}))
+                                            ring.p ** (prec - 1)}, prec))
                 assert divide_by_variable_product(tower, m, bad) is None
                 assert _fresh_division(tower, m, bad) is None
     assert outcomes[True] and outcomes[False], outcomes
@@ -477,6 +491,46 @@ def test_product_division_matches_a_fresh_solve():
     spaces = [t._product_space(2)[2] for t in towers[:2]]
     assert spaces[0] is not spaces[1]
     assert len(spaces[0].pivots) != len(spaces[1].pivots)
+
+
+def test_product_division_below_full_precision():
+    tower = LevelTower(ZpN(3, 3), 5)
+    # the product times T0, known only modulo p
+    g = tower.product(2).mul(tower.var(2, 0)).reduce_precision(1)
+    q = divide_by_variable_product(tower, 2, g)
+    assert q is not None and q.prec == 1
+    assert tower.product(2).mul(q) == g
+    # every precision keeps its own space; precision N is the plain one
+    spaces = {prec: tower._product_space(2, prec)[2] for prec in (1, 2, 3)}
+    assert spaces[3] is tower._product_space(2)[2]
+    assert len({id(s) for s in spaces.values()}) == 3
+    # random multiples at every precision below N
+    rng = random.Random(5)
+    spec = tower.spec(2)
+    for _ in range(12):
+        prec = rng.randint(1, tower.ring.N - 1)
+        coeffs = {(spec.zero_x(), te): rng.randrange(tower.ring.modulus)
+                  for te in t_monomials(2, tower.D - 3) if rng.random() < 0.5}
+        g = tower.product(2).mul(PDSeries(spec, coeffs, prec))
+        q = divide_by_variable_product(tower, 2, g)
+        assert q is not None and tower.product(2).mul(q) == g
+
+
+def test_fill_boundary_below_full_precision():
+    # boundaries of real level-2 elements of precision 2 are filled
+    tw = tower33(D=5)
+    rng = random.Random(2)
+    for _ in range(10):
+        g = rand_element(tw, 2, rng).reduce_precision(2)
+        faces, red = boundary_restriction(tw, 2, g)
+        f = fill_boundary(tw, 2, list(faces), red)
+        assert f.prec == 2
+        for i in range(3):
+            assert tw.face(2, i, f) == faces[i]
+        # two fillers of one boundary differ by a product multiple
+        diff = g.sub(f)
+        assert diff.is_zero() or divide_by_variable_product(tw, 2, diff) \
+            is not None
 
 
 def test_boundary_class_kills_product():
