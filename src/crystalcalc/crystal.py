@@ -107,9 +107,11 @@ class DoubleComplex:
         index = {b: k for k, b in enumerate(tgt)}
         sigma = SimplexMap.coface(m, i)
         dt_images = self._dt_images(m, i)
-        ring = self.A.ring
-        entries = {}
-        for r, b in enumerate(src):
+        mod = self.A.ring.modulus
+        rows = []
+        for b in src:
+            row = {}
+            rows.append(row)
             # Faces fix the geometric generators, so x^a T^[b] goes to x^a
             # times the tower's cached image of T^[b].  That image has no x,
             # and x^a is a normal monomial (basis x-parts are), so the product
@@ -150,12 +152,12 @@ class DoubleComplex:
                     idx = index.get(keyb)
                     if idx is None:
                         continue
-                    nv = (entries.get((r, idx), 0) + sign * c) % ring.modulus
+                    nv = (row.get(idx, 0) + sign * c) % mod
                     if nv:
-                        entries[(r, idx)] = nv
+                        row[idx] = nv
                     else:
-                        entries.pop((r, idx), None)
-        return Matrix(ring, len(src), len(tgt), entries)
+                        row.pop(idx, None)
+        return Matrix._trusted(self.A.ring, rows, len(tgt))
 
     def horizontal(self, m, q, g=None) -> Matrix:
         """Alternating sum of the faces, column m to column m-1."""
@@ -214,20 +216,25 @@ class DoubleComplex:
         tgt = self.tot_blocks(i + 1)
         src_off, src_dim = self._offsets(src, g)
         tgt_off, tgt_dim = self._offsets(tgt, g)
-        ring = self.A.ring
-        entries = {}
+        mod = self.A.ring.modulus
+        rows = [{} for _ in range(src_dim)]
+        # the target blocks of d and of the faces are disjoint column ranges
         for (m, q) in src:
             base = src_off[(m, q)]
             if (m, q + 1) in tgt_off:
                 off = tgt_off[(m, q + 1)]
-                for (r, j), v in self.columns[m].dmat(q, g)._iter_entries():
-                    entries[(base + r, off + j)] = v
+                for r, drow in enumerate(self.columns[m].dmat(q, g)._rows):
+                    row = rows[base + r]
+                    for j, v in drow.items():
+                        row[off + j] = v
             if m >= 1 and (m - 1, q) in tgt_off:
                 off = tgt_off[(m - 1, q)]
                 sign = -1 if q % 2 else 1
-                for (r, j), v in self.horizontal(m, q, g)._iter_entries():
-                    entries[(base + r, off + j)] = (sign * v) % ring.modulus
-        return Matrix(ring, src_dim, tgt_dim, entries)
+                for r, hrow in enumerate(self.horizontal(m, q, g)._rows):
+                    row = rows[base + r]
+                    for j, v in hrow.items():
+                        row[off + j] = sign * v % mod
+        return Matrix._trusted(self.A.ring, rows, tgt_dim)
 
     def _offsets(self, blocks, g):
         offsets = {}
@@ -250,19 +257,23 @@ class DoubleComplex:
 
     # -- normalized part ----------------------------------------------------
 
-    def _stacked_faces(self, m, q, g):
-        """Faces 1..m of column m on q-forms side by side, as entry pairs.
+    def _stacked_faces(self, m, q, g, rows, row0=0, col0=0):
+        """Faces 1..m of column m on q-forms side by side, added into ``rows``.
 
-        Returns (entries, width); the i-th face fills columns
-        (i-1)*t .. i*t - 1, t the dimension of column m-1 in form degree q.
-        Its left kernel is the normalized part of the block.
+        The q-form r of column m is the row dict ``rows[row0 + r]``; the
+        i-th face fills its columns col0 + (i-1)*t .. col0 + i*t - 1, t the
+        dimension of column m-1 in form degree q.  Returns the width m*t.
+        The left kernel of the stacked faces is the normalized part of the
+        block.
         """
         tdim = len(self.columns[m - 1].basis(q, g))
-        entries = {}
         for i in range(1, m + 1):
-            for (r, j), v in self.face_matrix(m, i, q, g)._iter_entries():
-                entries[(r, (i - 1) * tdim + j)] = v
-        return entries, m * tdim
+            off = col0 + (i - 1) * tdim
+            for r, frow in enumerate(self.face_matrix(m, i, q, g)._rows, row0):
+                row = rows[r]
+                for j, v in frow.items():
+                    row[off + j] = v
+        return m * tdim
 
     def normalized_rows(self, m, q, g=None) -> Matrix:
         """Howell rows spanning the joint kernel of faces 1..m on q-forms."""
@@ -272,24 +283,22 @@ class DoubleComplex:
             if m == 0:
                 self._hmat_cache[key] = Matrix.identity(self.A.ring, dim)
             else:
-                entries, width = self._stacked_faces(m, q, g)
+                rows = [{} for _ in range(dim)]
+                width = self._stacked_faces(m, q, g, rows)
                 self._hmat_cache[key] = kernel(
-                    Matrix(self.A.ring, dim, width, entries))
+                    Matrix._trusted(self.A.ring, rows, width))
         return self._hmat_cache[key]
 
     def normalized_tot_rows(self, i, g=None) -> Matrix:
         """The normalized subspace of Tot^i, as rows over the block sum."""
         blocks = self.tot_blocks(i)
         offsets, dim = self._offsets(blocks, g)
-        entries = {}
-        row = 0
+        rows = []
         for (m, q) in blocks:
             base = offsets[(m, q)]
-            for r in self.normalized_rows(m, q, g).row_dicts():
-                for j, v in r.items():
-                    entries[(row, base + j)] = v
-                row += 1
-        return Matrix(self.A.ring, row, dim, entries)
+            rows += [{base + j: v for j, v in r.items()}
+                     for r in self.normalized_rows(m, q, g)._rows]
+        return Matrix._trusted(self.A.ring, rows, dim)
 
     def normalized_cocycle_matrix(self, i, g=None) -> Matrix:
         """[d_i | F_i]: its left kernel is the normalized cocycles of Tot^i.
@@ -300,16 +309,13 @@ class DoubleComplex:
         """
         d = self.tot_matrix(i, g)
         offsets, _dim = self._offsets(self.tot_blocks(i), g)
-        entries = dict(d._iter_entries())
+        rows = [dict(row) for row in d._rows]
         width = d.ncols
         for (m, q), base in offsets.items():
             if m == 0:
                 continue
-            faces, block_width = self._stacked_faces(m, q, g)
-            for (r, j), v in faces.items():
-                entries[(base + r, width + j)] = v
-            width += block_width
-        return Matrix(self.A.ring, d.nrows, width, entries)
+            width += self._stacked_faces(m, q, g, rows, base, width)
+        return Matrix._trusted(self.A.ring, rows, width)
 
     def total_cohomology(self, i, g=None) -> ElementaryDivisors:
         """Cohomology of the normalized truncated totalization at degree i.
@@ -336,18 +342,17 @@ class DoubleComplex:
             src_off, _ = self._offsets(blocks, g)
             tgt_off, _ = self._offsets(tgt_blocks, g)
             base = src_off[(0, q)]
-            n0 = len(self.columns[0].basis(q, g))
-            dmat = {(r, j): v for (r, j), v in
-                    self.columns[0].dmat(q, g)._iter_entries()}
-            for (r, j), v in self.tot_matrix(q, g)._iter_entries():
-                if base <= r < base + n0:
+            dmat = self.columns[0].dmat(q, g)._rows
+            tot = self.tot_matrix(q, g)._rows
+            for r, drow in enumerate(dmat):
+                for j, v in tot[base + r].items():
                     jj = j - tgt_off.get((0, q + 1), -1)
                     if (0, q + 1) not in tgt_off or not \
                        (0 <= jj < len(self.columns[0].basis(q + 1, g))):
                         return CheckReport(
                             "augmentation-chain-map", False,
                             witness=f"column 0 leaks outside itself at q={q}")
-                    if dmat.get((r - base, jj), 0) != v:
+                    if drow.get(jj, 0) != v:
                         return CheckReport(
                             "augmentation-chain-map", False,
                             witness=f"differential mismatch at q={q}")

@@ -272,12 +272,9 @@ class DeRhamComplex:
             src = self.basis(q, g)
             tgt = self.basis(q + 1, g)
             index = {b: k for k, b in enumerate(tgt)}
-            entries = {}
-            for r, b in enumerate(src):
-                for j, v in self._d_of_basis(b, index).items():
-                    entries[(r, j)] = v
-            self._dmat_cache[key] = Matrix(self.spec.ring, len(src), len(tgt),
-                                           entries)
+            self._dmat_cache[key] = Matrix._trusted(
+                self.spec.ring, [self._d_of_basis(b, index) for b in src],
+                len(tgt))
         return self._dmat_cache[key]
 
     def assert_complex(self, g=None):
@@ -331,21 +328,26 @@ class DeRhamComplex:
         """
         name = "poincare-contraction"
         mod = self.spec.ring.modulus
-        for q in range(self.max_form_degree() + 1):
-            src = self.basis(q, g)
-            up_basis = self.basis(q + 1, g)
+
+        def kappa_rows(q):
+            # kappa on the q-forms, one row per basis form
             down = {b: k for k, b in enumerate(self.basis(q - 1, g))} \
                 if q >= 1 else {}
-            idx_src = {b: k for k, b in enumerate(src)}
-            d_out = self.dmat(q, g).row_dicts()
-            d_in = self.dmat(q - 1, g).row_dicts() if q >= 1 else []
+            return [self.kappa_of_basis(b, down) for b in self.basis(q, g)]
+
+        kappa_up = kappa_rows(0)
+        for q in range(self.max_form_degree() + 1):
+            src = self.basis(q, g)
+            kappa_here, kappa_up = kappa_up, kappa_rows(q + 1)
+            d_out = self.dmat(q, g)._rows
+            d_in = self.dmat(q - 1, g)._rows if q >= 1 else []
             for r, b in enumerate(src):
                 acc = {}
-                for idx, sgn in self.kappa_of_basis(b, down).items():
+                for idx, sgn in kappa_here[r].items():
                     for j, v in d_in[idx].items():
                         acc[j] = (acc.get(j, 0) + sgn * v) % mod
                 for j, v in d_out[r].items():
-                    for jj, sgn in self.kappa_of_basis(up_basis[j], idx_src).items():
+                    for jj, sgn in kappa_up[j].items():
                         acc[jj] = (acc.get(jj, 0) + v * sgn) % mod
                 expected = {}
                 if not (sum(b.te) == 0 and not b.K):
@@ -490,7 +492,7 @@ def torsion_check(ring: ZpN, rank: int, relation_rows=None) -> CheckReport:
     allowed = [dict(r) for r in rel]
     allowed += [{j: ring.p ** (ring.N - 1)} for j in range(rank)]
     hb = HowellBasis(ring, allowed, rank)
-    for row in ker.row_dicts():
+    for row in ker._rows:
         f_part = {j: v for j, v in row.items() if j < rank}
         if f_part and not hb.contains(f_part):
             j = sorted(f_part)[0]
@@ -521,9 +523,9 @@ def base_change_check(A: Presentation, m: int, D: int) -> CheckReport:
             return merge_reports(f"base-change-{A.name}-m{m}", reports + [
                 CheckReport("mod-p-identification", False,
                             witness=f"basis mismatch in form degree {q}")])
-        big = cx.dmat(q)
-        got = {(i, j): v % p for (i, j), v in big._iter_entries() if v % p}
-        want = dict(small.dmat(q)._iter_entries())
+        got = [{j: v % p for j, v in row.items() if v % p}
+               for row in cx.dmat(q)._rows]
+        want = small.dmat(q)._rows
         if got != want:
             return merge_reports(f"base-change-{A.name}-m{m}", reports + [
                 CheckReport("mod-p-identification", False,

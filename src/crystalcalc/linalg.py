@@ -8,6 +8,11 @@ subquotient invariants, cohomology of complexes) reduces to that form.
 
 Vectors are rows; a matrix acts on the right (x -> x*M), so ``kernel(M)``
 is the left kernel {x : x*M = 0}.
+
+A ``Matrix`` stores one dict per row and nothing else, so the builders,
+products and eliminations all work on the same row dicts: the engine copies
+the rows it eliminates, ``smith_valuations`` copies the rows it mutates, and
+everything else reads the stored rows in place.
 """
 
 from heapq import heapify, heappop, heappush
@@ -17,63 +22,87 @@ from .ring import ZpN
 
 
 class Matrix:
-    """Immutable sparse matrix over Z/p^N.
+    """Immutable sparse matrix over Z/p^N, stored by rows.
 
-    Nonzero entries live in a dict keyed by (row, col); zeros are never
-    stored.  Computations extract per-row dicts (``row_dicts``).
+    ``_rows`` holds one dict per row, column -> value.  Every stored value
+    is reduced mod p^N and nonzero, and every column lies in
+    range(ncols); zeros are never stored.  The public constructors
+    (``Matrix(ring, nrows, ncols, {(i, j): v})``, ``from_row_dicts``,
+    ``identity`` and ``zero``) check bounds, raising IndexError, and reduce
+    their input.  The package's own builders and products hand rows that
+    already meet the invariant to ``_trusted``, which stores them as they
+    are and takes them over.  ``row_dicts`` returns copies; code in the
+    package reads ``_rows`` in place and never mutates it.
     """
 
-    __slots__ = ("ring", "nrows", "ncols", "_sparse")
+    __slots__ = ("ring", "nrows", "ncols", "_rows")
 
     def __init__(self, ring: ZpN, nrows: int, ncols: int, entries=None):
-        self.ring = ring
-        self.nrows = nrows
-        self.ncols = ncols
-        cleaned = {}
+        rows = [{} for _ in range(nrows)]
         if entries:
+            mod = ring.modulus
             for (i, j), v in entries.items():
                 if not (0 <= i < nrows and 0 <= j < ncols):
                     raise IndexError(f"entry ({i},{j}) outside {nrows}x{ncols}")
-                v %= ring.modulus
+                v %= mod
                 if v:
-                    cleaned[(i, j)] = v
-        self._sparse = cleaned
+                    rows[i][j] = v
+        self.ring = ring
+        self.nrows = nrows
+        self.ncols = ncols
+        self._rows = rows
+
+    @classmethod
+    def _trusted(cls, ring, rows, ncols):
+        """A matrix on ``rows`` as given: reduced, nonzero and in range."""
+        M = object.__new__(cls)
+        M.ring = ring
+        M.nrows = len(rows)
+        M.ncols = ncols
+        M._rows = rows
+        return M
 
     @classmethod
     def from_row_dicts(cls, ring, dicts, ncols):
-        entries = {}
+        mod = ring.modulus
+        rows = []
         for i, d in enumerate(dicts):
+            row = {}
             for j, v in d.items():
-                if v % ring.modulus:
-                    entries[(i, j)] = v
-        return cls(ring, len(dicts), ncols, entries)
+                if not 0 <= j < ncols:
+                    raise IndexError(
+                        f"entry ({i},{j}) outside {len(dicts)}x{ncols}")
+                v %= mod
+                if v:
+                    row[j] = v
+            rows.append(row)
+        return cls._trusted(ring, rows, ncols)
 
     @classmethod
     def identity(cls, ring, n):
-        return cls(ring, n, n, {(i, i): 1 for i in range(n)})
+        return cls._trusted(ring, [{i: 1} for i in range(n)], n)
 
     @classmethod
     def zero(cls, ring, nrows, ncols):
-        return cls(ring, nrows, ncols, {})
+        return cls._trusted(ring, [{} for _ in range(nrows)], ncols)
 
     def row_dicts(self):
-        out = [dict() for _ in range(self.nrows)]
-        for (i, j), v in self._sparse.items():
-            out[i][j] = v
-        return out
+        """Copies of the rows, column -> value."""
+        return [dict(row) for row in self._rows]
 
     def is_zero(self):
-        return not self._sparse
+        return not any(self._rows)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return ((self.ring, self.nrows, self.ncols, self._sparse)
-                == (other.ring, other.nrows, other.ncols, other._sparse))
+        return ((self.ring, self.nrows, self.ncols, self._rows)
+                == (other.ring, other.nrows, other.ncols, other._rows))
 
     def __hash__(self):
         return hash((self.ring, self.nrows, self.ncols,
-                     frozenset(self._sparse.items())))
+                     frozenset(((i, j), v) for i, row in enumerate(self._rows)
+                               for j, v in row.items())))
 
     def __repr__(self):
         return f"Matrix({self.ring}, {self.nrows}x{self.ncols})"
@@ -82,36 +111,48 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
         mod = self.ring.modulus
-        other_rows = other.row_dicts()
-        entries = {}
-        for i, row in enumerate(self.row_dicts()):
+        other_rows = other._rows
+        rows = []
+        for row in self._rows:
             acc = {}
             for k, a in row.items():
                 for j, b in other_rows[k].items():
-                    acc[j] = (acc.get(j, 0) + a * b) % mod
+                    acc[j] = acc.get(j, 0) + a * b
+            out = {}
             for j, v in acc.items():
+                v %= mod
                 if v:
-                    entries[(i, j)] = v
-        return Matrix(self.ring, self.nrows, other.ncols, entries)
+                    out[j] = v
+            rows.append(out)
+        return Matrix._trusted(self.ring, rows, other.ncols)
 
     def add(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("dimension mismatch")
         mod = self.ring.modulus
-        entries = {}
-        for d in (self.row_dicts(), other.row_dicts()):
-            for i, row in enumerate(d):
-                for j, v in row.items():
-                    entries[(i, j)] = (entries.get((i, j), 0) + v) % mod
-        return Matrix(self.ring, self.nrows, self.ncols, entries)
+        rows = []
+        for mine, theirs in zip(self._rows, other._rows):
+            row = dict(mine)
+            for j, v in theirs.items():
+                v = (row.get(j, 0) + v) % mod
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            rows.append(row)
+        return Matrix._trusted(self.ring, rows, self.ncols)
 
     def scale(self, c: int) -> "Matrix":
         mod = self.ring.modulus
-        entries = {ij: (v * c) % mod for ij, v in self._sparse.items()}
-        return Matrix(self.ring, self.nrows, self.ncols, entries)
-
-    def _iter_entries(self):
-        return iter(self._sparse.items())
+        rows = []
+        for row in self._rows:
+            out = {}
+            for j, v in row.items():
+                v = v * c % mod
+                if v:
+                    out[j] = v
+            rows.append(out)
+        return Matrix._trusted(self.ring, rows, self.ncols)
 
 
 class ElementaryDivisors:
@@ -191,15 +232,17 @@ def _howell_engine(ring, rows, transforms=None):
     into the Howell form.  zero_transforms collects the transforms of work
     rows that reduced to zero (these span the left kernel when the
     transforms started as unit vectors).
+
+    ``rows`` hold reduced nonzero entries, as ``Matrix`` rows do; the engine
+    eliminates copies of them.  The ``transforms`` dicts are taken over.
     """
     mod = ring.modulus
     p, N = ring.p, ring.N
     track = transforms is not None
-    work = []
-    for i, r in enumerate(rows):
-        clean = {j: v % mod for j, v in r.items() if v % mod}
-        t = transforms[i] if track else None
-        work.append((clean, dict(t) if t is not None else None))
+    if track:
+        work = [(dict(r), t) for r, t in zip(rows, transforms)]
+    else:
+        work = [(dict(r), None) for r in rows]
 
     pivots = {}  # col -> [row, transform, valuation]
     zero_transforms = []
@@ -317,17 +360,11 @@ def _walk(res, lead, mod, start=-1):
 
 def howell_form(M: Matrix):
     """Canonical Howell form H of the row span of M, with U such that U*M = H."""
-    rows = M.row_dicts()
     transforms = [{i: 1} for i in range(M.nrows)]
-    pivots = _reduce_above(M.ring, _howell_engine(M.ring, rows, transforms)[0])
-    h_entries, u_entries = {}, {}
-    for i, (_c, row, trans, _v) in enumerate(pivots):
-        for j, v in row.items():
-            h_entries[(i, j)] = v
-        for j, v in trans.items():
-            u_entries[(i, j)] = v
-    H = Matrix(M.ring, len(pivots), M.ncols, h_entries)
-    U = Matrix(M.ring, len(pivots), M.nrows, u_entries)
+    pivots = _reduce_above(M.ring,
+                           _howell_engine(M.ring, M._rows, transforms)[0])
+    H = Matrix._trusted(M.ring, [row for _c, row, _t, _v in pivots], M.ncols)
+    U = Matrix._trusted(M.ring, [t for _c, _r, t, _v in pivots], M.nrows)
     return H, U
 
 
@@ -338,7 +375,7 @@ def _kernel_pivots(M: Matrix):
     never reduced above.
     """
     transforms = [{i: 1} for i in range(M.nrows)]
-    _, zeros = _howell_engine(M.ring, M.row_dicts(), transforms)
+    _, zeros = _howell_engine(M.ring, M._rows, transforms)
     if not zeros:
         return []
     return _reduce_above(M.ring, _howell_engine(M.ring, zeros)[0])
@@ -346,12 +383,8 @@ def _kernel_pivots(M: Matrix):
 
 def kernel(M: Matrix) -> Matrix:
     """Howell basis of the left kernel {x : x*M = 0}."""
-    pivots = _kernel_pivots(M)
-    entries = {}
-    for i, (_c, row, _t, _v) in enumerate(pivots):
-        for j, v in row.items():
-            entries[(i, j)] = v
-    return Matrix(M.ring, len(pivots), M.nrows, entries)
+    rows = [row for _c, row, _t, _v in _kernel_pivots(M)]
+    return Matrix._trusted(M.ring, rows, M.nrows)
 
 
 class HowellBasis:
@@ -366,10 +399,12 @@ class HowellBasis:
 
     def __init__(self, ring, M_or_rows, ncols=None, transforms=False):
         if isinstance(M_or_rows, Matrix):
-            rows = M_or_rows.row_dicts()
+            rows = M_or_rows._rows
             ncols = M_or_rows.ncols
         else:
-            rows = [dict(r) for r in M_or_rows]
+            mod = ring.modulus
+            rows = [{j: v % mod for j, v in r.items() if v % mod}
+                    for r in M_or_rows]
             if ncols is None:
                 raise ValueError("ncols required for raw rows")
         self.ring = ring
@@ -458,7 +493,7 @@ def smith_valuations(M: Matrix):
     """
     ring = M.ring
     mod, p = ring.modulus, ring.p
-    rows = {i: r for i, r in enumerate(M.row_dicts()) if r}
+    rows = {i: dict(r) for i, r in enumerate(M._rows) if r}
     cols = {}
     for i, row in rows.items():
         for j in row:
@@ -518,7 +553,7 @@ def _subquotient(pivots, im_basis: Matrix) -> ElementaryDivisors:
     r = len(pivots)
     lead = _pivot_map(ring, pivots)
     relations = []
-    for i, row in enumerate(im_basis.row_dicts()):
+    for i, row in enumerate(im_basis._rows):
         res, coords = _reduce(ring, lead, row)
         if res:
             j = sorted(res)[0]
@@ -544,7 +579,7 @@ def _subquotient(pivots, im_basis: Matrix) -> ElementaryDivisors:
             rel = {j: -q % mod for j, q in coords.items()}
             rel[i] = ann
             relations.append(rel)
-    diag = smith_valuations(Matrix.from_row_dicts(ring, relations, r))
+    diag = smith_valuations(Matrix._trusted(ring, relations, r))
     exps = [min(a, ring.N) for a in diag]
     exps += [ring.N] * (r - len(diag))
     return ElementaryDivisors(ring.p, ring.N, exps)
@@ -553,12 +588,12 @@ def _subquotient(pivots, im_basis: Matrix) -> ElementaryDivisors:
 def complex_cohomology(d_in: Matrix, d_out: Matrix) -> ElementaryDivisors:
     """Cohomology at the middle of  ._ --d_in--> . --d_out--> ._ .
 
-    Asserts d_in * d_out = 0 before taking the subquotient.  The kernel's
-    pivots are already in Howell form, so they go to the subquotient as they
-    are: two engine passes in all.
+    The kernel's pivots are already in Howell form, so they go to the
+    subquotient as they are: two engine passes in all.  Its containment
+    check certifies d_in * d_out = 0, since a row of d_in lies in ker d_out
+    exactly when its product with d_out vanishes; a complex with d after d
+    nonzero raises ContainmentViolation there.
     """
     if d_in.ncols != d_out.nrows:
         raise ValueError("complex dimensions do not chain")
-    if not d_in.mul(d_out).is_zero():
-        raise ContainmentViolation("d after d is not zero", witness=(d_in, d_out))
     return _subquotient(_kernel_pivots(d_out), d_in)

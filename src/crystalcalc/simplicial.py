@@ -278,9 +278,11 @@ class LevelTower:
 
         This realizes the boundary quotient ring of level m: elements are
         classes modulo (T_0 * ... * T_m), represented by Howell reduction
-        against the expanded product multiples on the window.
+        against the expanded product multiples on the window at f's
+        precision (``_product_space(m, f.prec)``), so the class is canonical
+        modulo p^prec.
         """
-        _monos, index, space = self._product_space(m)
+        _monos, index, space = self._product_space(m, f.prec)
         out_terms = {}
         by_xe = {}
         for (xe, te), c in f.terms.items():
@@ -544,7 +546,7 @@ def verify_boundary_kernel(p: int, N: int, D: int, m: int) -> CheckReport:
         return [{j: v % small_mod for j, v in r.items() if v % small_mod}
                 for r in rows_dicts]
 
-    ker_rows = project(ker.row_dicts())
+    ker_rows = project(ker._rows)
     ideal_rows_small = project(ideal_rows)
     ncols = len(basis_m)
     hb_ker = HowellBasis(small, ker_rows, ncols)
@@ -635,7 +637,7 @@ def check_regular_sequence(p: int, N: int, D: int, m: int, perm,
                 entries[(nin + s, j)] = v
         stacked = Matrix(buffered, nin + len(prev_rows_full), nall, entries)
         ker = kernel(stacked)
-        for row in ker.row_dicts():
+        for row in ker._rows:
             f_part = {in_to_all[k]: v for k, v in row.items() if k < nin}
             if not f_part:
                 continue

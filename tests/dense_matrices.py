@@ -1,4 +1,5 @@
-"""Dense list-of-lists views of ``Matrix``, for tests that enumerate spans."""
+"""Test helpers for ``Matrix``: dense list-of-lists views, for tests that
+enumerate spans, and the check of its stored rows."""
 
 from crystalcalc.linalg import Matrix
 
@@ -21,3 +22,15 @@ def to_dense(M):
         for j, v in row.items():
             rows[i][j] = v
     return rows
+
+
+def assert_rows_validated(M):
+    """M stores exactly the rows of its validated rebuild.
+
+    The rebuild reduces every entry, drops zeros and raises IndexError on a
+    column out of range, so equality means M holds no zero, unreduced or
+    out-of-range entry.
+    """
+    rows = M.row_dicts()
+    assert len(rows) == M.nrows
+    assert M == Matrix.from_row_dicts(M.ring, rows, M.ncols)

@@ -21,7 +21,7 @@ from crystalcalc.series import PDSeries, pd_substitute
 from crystalcalc.simplicial import LevelTower, SimplexMap
 from crystalcalc.smoothlift import catalog
 
-from dense_matrices import to_dense
+from dense_matrices import assert_rows_validated, to_dense
 
 R33 = ZpN(3, 3)
 
@@ -448,12 +448,44 @@ def test_image_outside_the_normalized_cocycles_is_rejected():
     assert n_prev.mul(d_prev).mul(d_here).is_zero()
     # a column r where some normalized row has a unit, and a row j of d_i
     # with a unit entry
-    r = min(c for (_k, c), v in n_prev._iter_entries() if v % ring.p)
-    j = min(k for (k, _c), v in d_here._iter_entries() if v % ring.p)
-    entries = dict(d_prev._iter_entries())
-    entries[(r, j)] = entries.get((r, j), 0) + 1
-    corrupted = Matrix(ring, d_prev.nrows, d_prev.ncols, entries)
+    r = min(c for row in n_prev.row_dicts() for c, v in row.items()
+            if v % ring.p)
+    j = min(k for k, row in enumerate(d_here.row_dicts())
+            if any(v % ring.p for v in row.values()))
+    rows = d_prev.row_dicts()
+    rows[r][j] = rows[r].get(j, 0) + 1
+    corrupted = Matrix.from_row_dicts(ring, rows, d_prev.ncols)
     assert not n_prev.mul(corrupted).mul(d_here).is_zero()
     dc._tot_cache[("d", i - 1, g)] = corrupted
     with pytest.raises(ContainmentViolation):
         dc.total_cohomology(i, g)
+
+
+@pytest.mark.parametrize("name, ring, E, M, D", [
+    ("point", ZpN(3, 2), 3, 2, 3),
+    ("a1", ZpN(2, 3), 4, 2, 4),
+    ("gm", ZpN(3, 2), 4, 2, 3),
+    ("ell-3-1-2", ZpN(3, 2), 3, 2, 2),
+])
+def test_built_matrices_store_validated_rows(name, ring, E, M, D):
+    # the builders emit rows through the trusted constructor; every matrix
+    # they build must equal its validated rebuild
+    A = catalog(name, ring, E=E)
+    dc = DoubleComplex(A, M, D)
+    built = []
+    for g in graded_cells(A, D):
+        for m, col in enumerate(dc.columns):
+            for q in range(col.max_form_degree() + 1):
+                built += [col.dmat(q, g), dc.normalized_rows(m, q, g)]
+                if m:
+                    built += [dc.face_matrix(m, i, q, g) for i in range(m + 1)]
+                    built.append(dc.horizontal(m, q, g))
+        for i in range(-M, dc.columns[0].max_form_degree() + 1):
+            d = dc.tot_matrix(i, g)
+            F = dc.normalized_cocycle_matrix(i, g)
+            n = dc.normalized_tot_rows(i, g)
+            built += [d, F, kernel(F), n, n.mul(d), d.add(d), d.scale(-1),
+                      d.scale(ring.p)]
+    assert sum(not mat.is_zero() for mat in built) > 10
+    for mat in built:
+        assert_rows_validated(mat)

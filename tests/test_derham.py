@@ -349,9 +349,9 @@ def test_contraction_fails_on_corrupted_cached_differential():
     tgt = cx.basis(2, g)
     d = cx.dmat(1, g)
     index = {b: k for k, b in enumerate(src)}
-    r, j = next((r, j) for (r, j), _v in sorted(d._iter_entries())
-                if cx.kappa_of_basis(tgt[j], index))
-    d._sparse[(r, j)] = (d._sparse[(r, j)] + 1) % R33.modulus
+    r, j = next((r, j) for r, row in enumerate(d.row_dicts())
+                for j in sorted(row) if cx.kappa_of_basis(tgt[j], index))
+    d._rows[r][j] = (d._rows[r][j] + 1) % R33.modulus
     rep = cx.verify_contraction(g)
     assert not rep.passed
     assert rep.details["q"] == 1

@@ -21,7 +21,7 @@ from crystalcalc.linalg import (
 )
 from crystalcalc.ring import ZpN
 
-from dense_matrices import from_rows, to_dense
+from dense_matrices import assert_rows_validated, from_rows, to_dense
 
 
 def enumerate_span(ring, rows, ncols):
@@ -554,3 +554,59 @@ def test_engine_matches_quadratic_reference(p, N):
                 for idx, q in coords.items():
                     linalg._sub_scaled(x, ref_pivots[idx][2], -q, ring.modulus)
             assert solve_in_rowspace(M, vec) == x
+
+
+# -- row storage -------------------------------------------------------------
+
+
+def test_public_constructors_validate():
+    ring = ZpN(3, 2)
+    with pytest.raises(IndexError):
+        Matrix(ring, 2, 2, {(0, 2): 1})
+    with pytest.raises(IndexError):
+        Matrix(ring, 2, 2, {(2, 0): 1})
+    with pytest.raises(IndexError):
+        Matrix.from_row_dicts(ring, [{}, {-1: 1}], 2)
+    # entries are reduced mod p^N and zeros are dropped
+    M = Matrix(ring, 2, 3, {(0, 0): 10, (0, 2): 9, (1, 1): -1})
+    assert M.row_dicts() == [{0: 1}, {1: 8}]
+    assert Matrix.from_row_dicts(ring, [{0: 10, 2: 18}, {1: -1}], 3) == M
+    assert_rows_validated(M)
+
+
+def test_row_dicts_are_copies():
+    ring = ZpN(3, 2)
+    M = from_rows(ring, [[1, 2], [0, 3]])
+    before = M.row_dicts()
+    rows = M.row_dicts()
+    rows[0][1] = 5
+    rows[1].clear()
+    rows.append({0: 1})
+    assert M.row_dicts() == before
+    assert M == from_rows(ring, [[1, 2], [0, 3]])
+    K = kernel(M)
+    rows = K.row_dicts()
+    for row in rows:
+        row[0] = 7
+    assert K == kernel(M)
+
+
+def test_products_store_validated_rows():
+    # kernel, mul, add, scale and the Howell form build through the trusted
+    # constructor: their rows must be those of the validated rebuild, also
+    # when the arithmetic cancels entries or scales them to zero
+    rng = random.Random(11)
+    for ring in (ZpN(2, 3), ZpN(3, 2), ZpN(5, 1)):
+        for _ in range(25):
+            n, k, m = (rng.randint(0, 6) for _ in range(3))
+            A = random_matrix(ring, rng, n, k)
+            B = random_matrix(ring, rng, k, m)
+            C = random_matrix(ring, rng, n, k)
+            built = [A.mul(B), A.add(C), A.add(A.scale(-1)),
+                     A.scale(ring.p), A.scale(ring.p ** (ring.N - 1)),
+                     A.scale(ring.modulus + 2), kernel(A), kernel(B),
+                     *howell_form(A), Matrix.identity(ring, n),
+                     Matrix.zero(ring, n, k)]
+            for M in built:
+                assert_rows_validated(M)
+            assert A.add(A.scale(-1)).is_zero()

@@ -533,6 +533,28 @@ def test_fill_boundary_below_full_precision():
             is not None
 
 
+def test_boundary_class_below_full_precision():
+    # a genuine product multiple of precision prec < N has class zero, and
+    # adding one does not change the class of an element of that precision
+    tower = LevelTower(ZpN(3, 3), 5)
+    rng = random.Random(4)
+    for m in (1, 2):
+        spec = tower.spec(m)
+        monos = t_monomials(tower.nvars(m), tower.D - (m + 1))
+        for prec in (1, 2):
+            for _ in range(10):
+                coeffs = {(spec.zero_x(), te): rng.randrange(tower.ring.modulus)
+                          for te in monos if rng.random() < 0.5}
+                g = tower.product(m).mul(PDSeries(spec, coeffs, prec))
+                assert g.prec == prec
+                assert tower.boundary_class(m, g).is_zero()
+                f = rand_element(tower, m, rng).reduce_precision(prec)
+                cls = tower.boundary_class(m, f)
+                assert cls.prec == prec
+                assert tower.boundary_class(m, f.add(g)) == cls
+                assert tower.boundary_class(m, cls) == cls
+
+
 def test_boundary_class_kills_product():
     tw = tower33(D=4)
     prod = tw.product(1)
