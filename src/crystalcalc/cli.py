@@ -45,6 +45,7 @@ from .smoothlift import (
 )
 
 SCHEMA = "crystalcalc/1"
+DEFAULT_E = 6
 
 
 # -- input files -------------------------------------------------------------
@@ -165,6 +166,21 @@ def load_algebra(spec_text: str, ring: ZpN, E: int) -> Presentation:
     return catalog(spec_text, ring, E)
 
 
+def _load_algebra_arg(args, ring: ZpN) -> Presentation:
+    """The ``--algebra`` of a verb; the report header then shows its window.
+
+    A presentation file's ``window:`` sets E when ``--E`` is not given; an
+    explicit ``--E`` that disagrees with it is a usage error.
+    """
+    A = load_algebra(args.algebra, ring,
+                     DEFAULT_E if args.E is None else args.E)
+    if args.E is not None and A.E != args.E:
+        raise ValueError(f"--E {args.E} disagrees with the window {A.E} "
+                         f"of {args.algebra}")
+    args.E = A.E
+    return A
+
+
 # -- report output ------------------------------------------------------------
 
 
@@ -212,7 +228,7 @@ def run_verify_simplicial(args):
 
 def run_lift(args):
     ring = ZpN(args.p, args.N)
-    A = load_algebra(args.algebra, ring, args.E)
+    A = _load_algebra_arg(args, ring)
     Abar = reduce_presentation(A)
     lifted = lift_algebra(Abar, args.N)
     sbar = Abar.carrier()
@@ -246,7 +262,7 @@ def demo_morphisms(A: Presentation):
 
 def run_homotopy(args):
     ring = ZpN(args.p, args.N)
-    A = load_algebra(args.algebra, ring, args.E)
+    A = _load_algebra_arg(args, ring)
 
     def resolve(name):
         return load_algebra(name, ring, args.E)
@@ -267,7 +283,7 @@ def run_homotopy(args):
 
 def run_dr(args):
     ring = ZpN(args.p, args.N)
-    A = load_algebra(args.algebra, ring, args.E)
+    A = _load_algebra_arg(args, ring)
     reports = []
     if args.poincare_m:
         reports.append(poincare_check(A, args.poincare_m, args.D))
@@ -307,14 +323,14 @@ def _parse_cover_element(text):
 
 def run_cris(args):
     ring = ZpN(args.p, args.N)
-    A = load_algebra(args.algebra, ring, args.E)
+    A = _load_algebra_arg(args, ring)
     report = cris(A, args.M, args.D, seed=args.seed)
     return write_report(args, "cris", "report", report.lines())
 
 
 def run_compare(args):
     ring = ZpN(args.p, args.N)
-    A = load_algebra(args.algebra, ring, args.E)
+    A = _load_algebra_arg(args, ring)
     # one double complex: the divisor report reuses the compared cells
     dc = DoubleComplex(A, args.M, args.D)
     rep = _compare_dr_cris(dc)
@@ -325,7 +341,7 @@ def run_compare(args):
 
 def run_known(args):
     ring = ZpN(args.p, args.N)
-    A = load_algebra(args.algebra, ring, args.E)
+    A = _load_algebra_arg(args, ring)
     rep = known_values_check(A, args.M, args.D)
     return write_report(args, "known", rep.status(), rep.lines(), rep.witness)
 
@@ -344,7 +360,11 @@ def build_parser():
         sp.add_argument("--p", type=int, required=True, help="prime")
         sp.add_argument("--N", type=int, default=2, help="p-adic precision")
         sp.add_argument("--D", type=int, default=4, help="interval weight cap")
-        sp.add_argument("--E", type=int, default=6, help="geometric window")
+        # with an algebra, a presentation file's window is the default
+        sp.add_argument("--E", type=int,
+                        default=None if needs_algebra else DEFAULT_E,
+                        help=f"geometric window (default: the presentation "
+                             f"file's window, else {DEFAULT_E})")
         if M_default is not None:
             sp.add_argument("--M", type=int, default=M_default,
                             help="column truncation")
@@ -396,7 +416,7 @@ def build_parser():
 
 def validate(args):
     if getattr(args, "N", 1) < 1 or getattr(args, "D", 1) < 0 \
-            or getattr(args, "E", 1) < 0:
+            or (args.E is not None and args.E < 0):
         raise ValueError("N must be >= 1 and caps nonnegative")
     if getattr(args, "M", 1) is not None and getattr(args, "M", 1) < 0:
         raise ValueError("M must be >= 0")

@@ -23,8 +23,11 @@ x-monomial x^a of the input: it stays inside the window, and an input in
 quotient normal form gives an output in normal form, with no reduction.
 
 The simplicial identity check builds the structure images of each face and
-degeneracy once per check and composes them through ``pd_substitute``; it
-never reads the ``t_image`` cache, which it thereby certifies.  Division by
+degeneracy once per check.  Every image is affine in the T variables (a sum
+of T_j, or p minus such a sum, plus the bump of a negative control), so the
+check composes maps in coordinates (``compose_affine``): the image of
+c + sum a_j T_j is c + sum a_j (image of T_j), with no series substitution.
+It never reads the ``t_image`` cache, which it thereby certifies.  Division by
 the full variable product is prepared once per tower and level: the product
 multiples are eliminated into one Howell form with transforms, and each
 division is then a single reduction against it.
@@ -33,7 +36,8 @@ division is then a single reduction against it.
 from itertools import permutations
 
 from .errors import (IncompatibleFaces, PrecisionExhausted,
-                     SignConventionViolation, VarSpecMismatch)
+                     SignConventionViolation, SubstitutionOutsideIdeal,
+                     VarSpecMismatch)
 from .linalg import HowellBasis, Matrix, kernel
 from .reports import CheckReport, merge_reports
 from .ring import ZpN
@@ -331,13 +335,85 @@ class LevelTower:
 # -- simplicial identity suite -----------------------------------------
 
 
+def _affine_parts(f: PDSeries):
+    """The constant and the T_j coefficients of an affine series.
+
+    Structure maps fix the geometric variables and send each interval
+    variable to an affine expression, so an x term or a term of T-degree
+    >= 2 means the structure images are wrong.
+    """
+    const = 0
+    linear = []
+    for (xe, te), c in f.terms.items():
+        degree = sum(te)
+        if any(xe) or degree > 1:
+            raise SignConventionViolation(
+                "structure image is not affine linear", witness=f)
+        if degree:
+            linear.append((te.index(1), c))
+        else:
+            const = c
+    return const, linear
+
+
+def compose_affine(images: dict, then_images: dict, target: VarSpec) -> dict:
+    """The images of ``images`` under the ring map given by ``then_images``.
+
+    ``images`` maps variable names to affine series on one level, and
+    ``then_images`` sends that level's interval variables into ``target``.
+    A ring map is linear, so the image of c + sum a_j T_j is
+    c + sum a_j * then_images[T_j]: the result is a scaled sum of the given
+    images.  It equals ``pd_substitute`` of each image, at the precision
+    that would use (the least of the image's and every ``then_images``
+    precision), and keeps its check that no image of a variable has a unit
+    T-free term.  A non-affine image raises ``SignConventionViolation``.
+    """
+    if not images:
+        return {}
+    source = next(iter(images.values())).spec
+    prec_then = min((g.prec for g in then_images.values()), default=None)
+    p = target.ring.p
+    linear_images = []
+    for n in source.pd:
+        if n not in then_images:
+            raise VarSpecMismatch(f"no image given for capped variable {n}")
+        img = then_images[n]
+        const, _linear = _affine_parts(img)
+        if const % p:
+            raise SubstitutionOutsideIdeal(
+                f"image of {n} has unit term outside the ideal",
+                witness=(n, target.zero_x(), const))
+        linear_images.append(img.terms)
+    unit_key = (target.zero_x(), target.zero_t())
+    out = {}
+    for name, f in images.items():
+        prec = f.prec if prec_then is None else min(f.prec, prec_then)
+        mod = p ** prec
+        const, linear = _affine_parts(f)
+        acc = {unit_key: const} if const else {}
+        for j, a in linear:
+            for key, c in linear_images[j].items():
+                acc[key] = acc.get(key, 0) + a * c
+        terms = {}
+        for key, c in acc.items():
+            c %= mod
+            if c:
+                terms[key] = c
+        out[name] = PDSeries._trusted(target, terms, prec)
+    return out
+
+
 def verify_simplicial_identities(ring: ZpN, D: int, m_max: int,
                                  variant: str = "interval",
                                  tamper=None) -> CheckReport:
     """Check the face/degeneracy relations levelwise up to m_max.
 
-    Compares composed structure morphisms on every free generator.  The
-    optional ``tamper=(kind, m, i)`` hook corrupts one structure map, as a
+    Compares composed structure morphisms on every free generator.  Every
+    structure image is affine in the T variables, so a composite is built
+    by ``compose_affine``: the image of c + sum a_j T_j under the second
+    map is c + sum a_j (image of T_j), a scaled sum of images already
+    built; an image that is not affine raises ``SignConventionViolation``.
+    The optional ``tamper=(kind, m, i)`` hook corrupts one structure map, as a
     negative control that the comparison actually bites.  Each map's images
     are built once, and the corruption is applied as they are built, so
     every identity that uses the tampered map sees the same corrupted map.
@@ -383,10 +459,8 @@ def verify_simplicial_identities(ring: ZpN, D: int, m_max: int,
         """Apply ``first`` then ``then_``; both are (images, target) pairs."""
         first_images, _ = first
         then_images, target_level = then_
-        target = tower.spec(target_level)
-        out = {name: pd_substitute(img, then_images, target)
-               for name, img in first_images.items()}
-        return out, target_level
+        return (compose_affine(first_images, then_images,
+                               tower.spec(target_level)), target_level)
 
     def maps_equal(a, b):
         (ia, la), (ib, lb) = a, b
@@ -581,9 +655,13 @@ def check_regular_sequence(p: int, N: int, D: int, m: int, perm,
     Stage j multiplies by the j-th sequence element on the quotient by the
     previous ones; a degree <= D-1 element killed in degree <= D must itself
     lie in the previous ideal, up to terms invisible at precision N.  The
-    computation runs with valuation headroom and failures are reported with
-    the offending class.  With ``boundary_quotient`` the same test runs in
-    the ring modulo the full variable product, where it must fail.
+    kernel is computed with valuation headroom, and membership is then
+    decided in Z/p^N: a vector lies in span(prev) + p^N * (everything) over
+    the buffered ring iff its reduction lies in the span of the reduced
+    previous rows, because reduction onto Z/p^N is onto and its kernel is
+    p^N times everything.  Failures are reported with the offending class.
+    With ``boundary_quotient`` the same test runs in the ring modulo the
+    full variable product, where it must fail.
     """
     name = "regular-sequence"
     if m > 3:
@@ -592,51 +670,42 @@ def check_regular_sequence(p: int, N: int, D: int, m: int, perm,
     if sorted(perm) != list(range(m + 1)):
         raise ValueError("perm must order the m+1 interval variables")
     buffered = ZpN(p, N + D + 2)
+    small = ZpN(p, N)
     tower = LevelTower(buffered, D)
     spec = tower.spec(m)
     basis = tower.basis(m)
     index = {te: k for k, te in enumerate(basis)}
     nall = len(basis)
-    deg_limit_in = D - 1
-    basis_in = [te for te in basis if sum(te) <= deg_limit_in]
+    basis_in = [te for te in basis if sum(te) <= D - 1]
+    in_to_all = {k: index[te] for k, te in enumerate(basis_in)}
+    nin = len(basis_in)
 
-    def mono(te):
-        return PDSeries(spec, {(spec.zero_x(), te): 1})
+    def multiples(a, monos):
+        """The coordinate rows of a * T^te.  Callers keep deg a + deg te
+        <= D, so nothing truncates and the spans are exact."""
+        return [tower.series_to_vector(
+                    m, a.mul(PDSeries(spec, {(spec.zero_x(), te): 1})), index)
+                for te in monos]
 
     elements = [tower.var_or_derived(m, j) for j in perm]
 
     prev_rows_full = []   # span of previous elements, degree <= D
     prev_rows_low = []    # same but degree <= D-1 (for the membership target)
     if boundary_quotient:
-        prod = tower.product(m)
-        for te in t_monomials(tower.nvars(m), D - (m + 1)):
-            row = prod.mul(mono(te))
-            prev_rows_full.append(tower.series_to_vector(m, row, index))
+        monos = t_monomials(tower.nvars(m), D - (m + 1))
+        for te, row in zip(monos, multiples(tower.product(m), monos)):
+            prev_rows_full.append(row)
             if sum(te) + m + 1 <= D - 1:
-                prev_rows_low.append(tower.series_to_vector(m, row, index))
-
-    # membership below the reported precision N is invisible: enlarge the
-    # target span by p^N times every coordinate vector
-    invisible = buffered.p ** N
-    in_to_all = {k: index[te] for k, te in enumerate(basis_in)}
-    nin = len(basis_in)
+                prev_rows_low.append(row)
 
     for stage, a in enumerate(elements):
-        low_rows = [dict(r) for r in prev_rows_low]
-        low_rows += [{j: invisible} for j in range(nall)]
-        hb_low = HowellBasis(buffered, low_rows, nall)
+        hb_low = HowellBasis(small, prev_rows_low, nall)
         # f*a lies in the previous ideal iff (f, y) kills the stacked matrix
-        # [multiplication rows; ideal generator rows]
-        entries = {}
-        for r, te in enumerate(basis_in):
-            img = a.mul(mono(te))
-            for j, v in tower.series_to_vector(m, img, index).items():
-                entries[(r, j)] = v
-        for s, row in enumerate(prev_rows_full):
-            for j, v in row.items():
-                entries[(nin + s, j)] = v
-        stacked = Matrix(buffered, nin + len(prev_rows_full), nall, entries)
-        ker = kernel(stacked)
+        # [multiplication rows; ideal generator rows]; the multiplication
+        # rows then extend the ideal for the next stage
+        mult_rows = multiples(a, basis_in)
+        ker = kernel(Matrix._trusted(buffered, mult_rows + prev_rows_full,
+                                     nall))
         for row in ker._rows:
             f_part = {in_to_all[k]: v for k, v in row.items() if k < nin}
             if not f_part:
@@ -649,14 +718,9 @@ def check_regular_sequence(p: int, N: int, D: int, m: int, perm,
                                    details={"m": m, "perm": perm,
                                             "stage": stage,
                                             "boundary_quotient": boundary_quotient})
-        # extend the previous ideal with this element's multiples; products
-        # with deg <= D-1 inputs never truncate, so the spans are exact
-        for te in basis:
-            if sum(te) <= D - 1:
-                img = a.mul(mono(te))
-                prev_rows_full.append(tower.series_to_vector(m, img, index))
-                if sum(te) <= D - 2:
-                    prev_rows_low.append(tower.series_to_vector(m, img, index))
+        prev_rows_full += mult_rows
+        prev_rows_low += [row for te, row in zip(basis_in, mult_rows)
+                          if sum(te) <= D - 2]
     return CheckReport(name, True,
                        details={"m": m, "perm": perm,
                                 "boundary_quotient": boundary_quotient})

@@ -138,6 +138,42 @@ def test_presentation_file_roundtrip(tmp_path):
     assert loaded.relations == pres.relations
 
 
+def _compare_pairtorus(tmp_path, extra):
+    path = tmp_path / "pairtorus.pres"
+    path.write_text(PRES_TEXT, encoding="utf-8")
+    return run_cli(["compare", "--algebra", str(path), "--p", "3", "--N", "2",
+                    "--D", "2", "--M", "1"] + extra, tmp_path)
+
+
+def test_explicit_E_that_disagrees_with_the_window_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _compare_pairtorus(tmp_path, ["--E", "4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --E 4 disagrees with the window 5 ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("extra", [["--E", "5"], []])
+def test_header_shows_the_window_that_was_used(tmp_path, extra):
+    # an agreeing --E and the file's window alone both compute at E = 5
+    code, text = _compare_pairtorus(tmp_path, extra)
+    assert code == 0
+    lines = text.splitlines()
+    assert lines.count("E: 5") == 2  # the header and the cris section
+    assert "E: 6" not in lines
+
+
+def test_header_default_window_without_a_file(tmp_path):
+    code, text = run_cli(["cris", "--algebra", "gm", "--p", "3", "--N", "2",
+                          "--D", "2", "--M", "1"], tmp_path)
+    assert code == 0
+    assert text.splitlines()[7] == "E: 6"
+    code, text = run_cli(["verify-simplicial", "--p", "2", "--N", "2",
+                          "--D", "2", "--m-max", "1"], tmp_path)
+    assert text.splitlines()[7] == "E: 6"
+
+
 MOR_TEXT = """\
 schema: crystalcalc/1
 kind: morphism

@@ -3,15 +3,17 @@
 import random
 import re
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
 from crystalcalc.errors import (
     IncompatibleFaces,
     SignConventionViolation,
+    SubstitutionOutsideIdeal,
     VarSpecMismatch,
 )
-from crystalcalc.linalg import Matrix, solve_in_rowspace
+from crystalcalc.linalg import HowellBasis, Matrix, kernel, solve_in_rowspace
 from crystalcalc.ring import ZpN
 from crystalcalc.series import GeomVar, PDSeries, pd_substitute
 from crystalcalc.simplicial import (
@@ -19,6 +21,7 @@ from crystalcalc.simplicial import (
     SimplexMap,
     boundary_restriction,
     check_regular_sequence,
+    compose_affine,
     divide_by_variable_product,
     faces_compatible,
     fill_boundary,
@@ -246,6 +249,94 @@ def test_identity_check_builds_each_structure_map_once(monkeypatch):
         assert set(calls.values()) == {1}
 
 
+def _perturbed(tower, images, rng):
+    """Affine images moved by random multiples of p, of the level's
+    variables and of 1, at a random precision."""
+    out = {}
+    for name, img in images.items():
+        spec = img.spec
+        bump = PDSeries.constant(spec, tower.ring.p * rng.randrange(9))
+        for j in range(len(spec.pd)):
+            bump = bump.add(PDSeries.pd_var(spec, f"T{j}")
+                            .scale(tower.ring.p * rng.randrange(9)))
+        moved = img.add(bump)
+        out[name] = moved.reduce_precision(rng.randint(1, moved.prec))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("variant", ["free", "interval"])
+def test_compose_affine_matches_substitution(p, variant):
+    # every composable pair of the maps the identity check builds at
+    # m_max = 4, first as built, then with randomly moved affine images at
+    # lower precisions; pd_substitute is the oracle
+    rng = random.Random(p)
+    for divided in (False, True):
+        tower = LevelTower(ZpN(p, 3), 3, variant=variant, divided=divided)
+        sigmas = [_structure_map(*key) for key in
+                  _structure_keys(4) + [("s", 5, i) for i in range(6)]]
+        pairs = 0
+        for first in sigmas:
+            for then_ in sigmas:
+                if then_.m != first.n:
+                    continue
+                target = tower.spec(then_.n)
+                images = tower.structure_images(first)
+                then_images = tower.structure_images(then_)
+                for _ in range(2):
+                    want = {n: pd_substitute(img, then_images, target)
+                            for n, img in images.items()}
+                    assert compose_affine(images, then_images, target) \
+                        == want, (first, then_)
+                    images = _perturbed(tower, images, rng)
+                    then_images = _perturbed(tower, then_images, rng)
+                pairs += 1
+        assert pairs == 188
+
+
+def _images_of_pair(tower, m):
+    """The images of the faces d_1: level m -> m-1 and d_0: m-1 -> m-2."""
+    first = tower.structure_images(SimplexMap.coface(m, 1))
+    then_ = tower.structure_images(SimplexMap.coface(m - 1, 0))
+    return first, then_, tower.spec(m - 2)
+
+
+@pytest.mark.parametrize("role", ["first", "then"])
+@pytest.mark.parametrize("extra", ["square", "x"])
+def test_compose_affine_rejects_non_affine_images(role, extra):
+    line = (GeomVar("x", "poly", 1),)
+    tower = LevelTower(ZpN(3, 2), 3, geom=line, E=2)
+    first, then_, target = _images_of_pair(tower, 4)
+    images = first if role == "first" else then_
+    spec = images["T0"].spec
+    if extra == "square":
+        t0 = PDSeries.pd_var(spec, "T0")
+        term = t0.mul(t0)
+    else:
+        term = PDSeries.geom_var(spec, "x").scale(3)
+    images["T0"] = images["T0"].add(term)
+    with pytest.raises(SignConventionViolation, match="not affine"):
+        compose_affine(first, then_, target)
+
+
+def test_compose_affine_keeps_the_substitution_checks():
+    tower = LevelTower(ZpN(3, 2), 3)
+    first, then_, target = _images_of_pair(tower, 4)
+    unit = dict(then_)
+    unit["T1"] = unit["T1"].add(PDSeries.one(target))
+    for compose in (compose_affine, lambda f, g, t: {
+            n: pd_substitute(img, g, t) for n, img in f.items()}):
+        with pytest.raises(SubstitutionOutsideIdeal):
+            compose(first, unit, target)
+        missing = {n: img for n, img in then_.items() if n != "T2"}
+        with pytest.raises(VarSpecMismatch):
+            compose(first, missing, target)
+    # a p-divisible constant stays inside the ideal (p, T)
+    inside = dict(then_)
+    inside["T1"] = inside["T1"].add(PDSeries.constant(target, 3))
+    assert compose_affine(first, inside, target)
+
+
 # -- boundary restriction -------------------------------------------------
 
 
@@ -318,6 +409,84 @@ def test_regular_sequence_boundary_ring_fails():
                                  boundary_quotient=True)
     assert not rep.passed
     assert "killed but nonzero" in rep.witness
+
+
+def _buffered_regular_sequence(p, N, D, m, perm, boundary_quotient=False):
+    """Reference: the regularity check deciding membership in the buffered
+    ring, against the previous rows plus p^N times every coordinate vector,
+    and with every product recomputed.  Returns (passed, witness, details).
+    """
+    buffered = ZpN(p, N + D + 2)
+    tower = LevelTower(buffered, D)
+    spec = tower.spec(m)
+    basis = tower.basis(m)
+    index = {te: k for k, te in enumerate(basis)}
+    nall = len(basis)
+    basis_in = [te for te in basis if sum(te) <= D - 1]
+    nin = len(basis_in)
+
+    def mono(te):
+        return PDSeries(spec, {(spec.zero_x(), te): 1})
+
+    prev_full, prev_low = [], []
+    if boundary_quotient:
+        prod = tower.product(m)
+        for te in t_monomials(tower.nvars(m), D - (m + 1)):
+            row = tower.series_to_vector(m, prod.mul(mono(te)), index)
+            prev_full.append(row)
+            if sum(te) + m + 1 <= D - 1:
+                prev_low.append(dict(row))
+    for stage, j_var in enumerate(perm):
+        a = tower.var_or_derived(m, j_var)
+        invisible = [{j: p ** N} for j in range(nall)]
+        hb_low = HowellBasis(buffered, prev_low + invisible, nall)
+        entries = {}
+        for r, te in enumerate(basis_in):
+            img = a.mul(mono(te))
+            for j, v in tower.series_to_vector(m, img, index).items():
+                entries[(r, j)] = v
+        for s, row in enumerate(prev_full):
+            for j, v in row.items():
+                entries[(nin + s, j)] = v
+        ker = kernel(Matrix(buffered, nin + len(prev_full), nall, entries))
+        for row in ker.row_dicts():
+            f_part = {index[basis_in[k]]: v for k, v in row.items()
+                      if k < nin}
+            if f_part and not hb_low.contains(f_part):
+                witness = (f"stage {stage} (element T{j_var}): class at "
+                           f"monomial {basis[min(f_part)]} is killed but "
+                           f"nonzero")
+                return False, witness, {"m": m, "perm": tuple(perm),
+                                        "stage": stage,
+                                        "boundary_quotient": boundary_quotient}
+        for te in basis_in:
+            img = a.mul(mono(te))
+            prev_full.append(tower.series_to_vector(m, img, index))
+            if sum(te) <= D - 2:
+                prev_low.append(tower.series_to_vector(m, img, index))
+    return True, "", {"m": m, "perm": tuple(perm),
+                      "boundary_quotient": boundary_quotient}
+
+
+@pytest.mark.parametrize("p,N", [(p, N) for p in (2, 3, 5) for N in (1, 2, 3)])
+def test_regular_sequence_matches_the_buffered_reference(p, N):
+    # membership at precision N equals membership in the buffered ring up
+    # to p^N; the costliest corner (m = 3 at D = 7) runs at three (p, N),
+    # which take each p and each N once
+    checked = Counter()
+    for D in (2, 4, 5, 7):
+        for m in range(4):
+            if (m, D) == (3, 7) and (p, N) not in ((2, 1), (3, 2), (5, 3)):
+                continue
+            for perm in permutations(range(m + 1)):
+                for bq in (False, True):
+                    rep = check_regular_sequence(p, N, D, m, perm,
+                                                 boundary_quotient=bq)
+                    want = _buffered_regular_sequence(p, N, D, m, perm, bq)
+                    assert (rep.passed, rep.witness, rep.details) == want, \
+                        (D, m, perm, bq)
+                    checked[rep.passed] += 1
+    assert checked[True] and checked[False]
 
 
 def test_negative_control_needs_the_product_in_the_window():
