@@ -3,14 +3,17 @@
 The package is organized bottom-up:
 
 * ``ring``       -- the coefficient context Z/p^N with valuations.
-* ``linalg``     -- Howell normal forms, kernels and subquotient invariants.
+* ``linalg``     -- Howell normal forms, kernels, subquotient invariants and
+                    block matrix assembly.
 * ``series``     -- truncated multivariate series with optional divided powers.
 * ``simplicial`` -- the simplicial interval rings, their structure maps,
                     boundary restriction, regularity checks and fillers.
 * ``smoothlift`` -- presentations of smooth algebras, Newton lifting,
                     homotopies and mapping-space fillers.
 * ``derham``     -- divided-power de Rham complexes, the integration
-                    contraction, base change and Cech descent.
+                    contraction, the Poincare, torsion and base-change checks.
+* ``localized``  -- Zariski localizations of the affine line and Cech
+                    descent along a cover.
 * ``crystal``    -- the simplicial de Rham double complex, totalization,
                     and comparison against direct de Rham cohomology.
 * ``cli``        -- command line front end and report files.

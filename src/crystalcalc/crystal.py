@@ -26,6 +26,10 @@ the normalized cocycles need no change of coordinates:
 
 one elimination in Tot^i coordinates whose Howell form is the same as that
 of the rows x*N with x*(N*d) = 0.
+
+Tot^i, N and [d | F] are named pieces on the blocks (m, q) of Tot^i (and
+(m, q, i) for the i-th face of a block); ``linalg.block_matrix`` lays them
+out, so no offset is computed here.
 """
 
 from dataclasses import dataclass, field
@@ -34,7 +38,7 @@ from .derham import (DeRhamComplex, FormBasis, PFSmObject, graded_cells,
                      level0_complex, _no_certified_cells)
 from .errors import CatalogMismatch, SignConventionViolation
 from .linalg import (ElementaryDivisors, Matrix, _kernel_pivots, _subquotient,
-                     kernel)
+                     block_matrix, kernel)
 from .reports import CheckReport, merge_reports
 # faces substitute through the tower's cache; the name stays importable here
 from .series import pd_substitute  # noqa: F401
@@ -205,44 +209,30 @@ class DoubleComplex:
                 out.append((m, q))
         return out
 
+    def _blocks(self, i, g):
+        """The blocks of Tot^i as (key (m, q), dimension) pairs."""
+        return [((m, q), len(self.columns[m].basis(q, g)))
+                for m, q in self.tot_blocks(i)]
+
+    def _tot_pieces(self, i, g):
+        """The pieces d and (-1)^q * horizontal of d_total on Tot^i."""
+        tgt = set(self.tot_blocks(i + 1))
+        pieces = []
+        for m, q in self.tot_blocks(i):
+            if (m, q + 1) in tgt:
+                pieces.append(((m, q), (m, q + 1), self.columns[m].dmat(q, g), 1))
+            if m >= 1 and (m - 1, q) in tgt:
+                pieces.append(((m, q), (m - 1, q), self.horizontal(m, q, g),
+                               -1 if q % 2 else 1))
+        return pieces
+
     def tot_matrix(self, i, g=None) -> Matrix:
         key = ("d", i, g)
         if key not in self._tot_cache:
-            self._tot_cache[key] = self._build_tot_matrix(i, g)
+            self._tot_cache[key] = block_matrix(
+                self.A.ring, self._blocks(i, g), self._blocks(i + 1, g),
+                self._tot_pieces(i, g))
         return self._tot_cache[key]
-
-    def _build_tot_matrix(self, i, g):
-        src = self.tot_blocks(i)
-        tgt = self.tot_blocks(i + 1)
-        src_off, src_dim = self._offsets(src, g)
-        tgt_off, tgt_dim = self._offsets(tgt, g)
-        mod = self.A.ring.modulus
-        rows = [{} for _ in range(src_dim)]
-        # the target blocks of d and of the faces are disjoint column ranges
-        for (m, q) in src:
-            base = src_off[(m, q)]
-            if (m, q + 1) in tgt_off:
-                off = tgt_off[(m, q + 1)]
-                for r, drow in enumerate(self.columns[m].dmat(q, g)._rows):
-                    row = rows[base + r]
-                    for j, v in drow.items():
-                        row[off + j] = v
-            if m >= 1 and (m - 1, q) in tgt_off:
-                off = tgt_off[(m - 1, q)]
-                sign = -1 if q % 2 else 1
-                for r, hrow in enumerate(self.horizontal(m, q, g)._rows):
-                    row = rows[base + r]
-                    for j, v in hrow.items():
-                        row[off + j] = sign * v % mod
-        return Matrix._trusted(self.A.ring, rows, tgt_dim)
-
-    def _offsets(self, blocks, g):
-        offsets = {}
-        total = 0
-        for (m, q) in blocks:
-            offsets[(m, q)] = total
-            total += len(self.columns[m].basis(q, g))
-        return offsets, total
 
     def assert_total_complex(self, g=None, degrees=None):
         degrees = degrees if degrees is not None else \
@@ -257,23 +247,17 @@ class DoubleComplex:
 
     # -- normalized part ----------------------------------------------------
 
-    def _stacked_faces(self, m, q, g, rows, row0=0, col0=0):
-        """Faces 1..m of column m on q-forms side by side, added into ``rows``.
+    def _face_blocks(self, m, q, g):
+        """Faces 1..m of column m on q-forms, each in a block column (m, q, i).
 
-        The q-form r of column m is the row dict ``rows[row0 + r]``; the
-        i-th face fills its columns col0 + (i-1)*t .. col0 + i*t - 1, t the
-        dimension of column m-1 in form degree q.  Returns the width m*t.
-        The left kernel of the stacked faces is the normalized part of the
-        block.
+        Returns the column blocks and the pieces on the row block (m, q); the
+        left kernel of the faces side by side is the normalized part.
         """
         tdim = len(self.columns[m - 1].basis(q, g))
-        for i in range(1, m + 1):
-            off = col0 + (i - 1) * tdim
-            for r, frow in enumerate(self.face_matrix(m, i, q, g)._rows, row0):
-                row = rows[r]
-                for j, v in frow.items():
-                    row[off + j] = v
-        return m * tdim
+        cols = [((m, q, i), tdim) for i in range(1, m + 1)]
+        pieces = [((m, q), (m, q, i), self.face_matrix(m, i, q, g), 1)
+                  for i in range(1, m + 1)]
+        return cols, pieces
 
     def normalized_rows(self, m, q, g=None) -> Matrix:
         """Howell rows spanning the joint kernel of faces 1..m on q-forms."""
@@ -283,39 +267,35 @@ class DoubleComplex:
             if m == 0:
                 self._hmat_cache[key] = Matrix.identity(self.A.ring, dim)
             else:
-                rows = [{} for _ in range(dim)]
-                width = self._stacked_faces(m, q, g, rows)
-                self._hmat_cache[key] = kernel(
-                    Matrix._trusted(self.A.ring, rows, width))
+                cols, pieces = self._face_blocks(m, q, g)
+                self._hmat_cache[key] = kernel(block_matrix(
+                    self.A.ring, [((m, q), dim)], cols, pieces))
         return self._hmat_cache[key]
 
     def normalized_tot_rows(self, i, g=None) -> Matrix:
         """The normalized subspace of Tot^i, as rows over the block sum."""
-        blocks = self.tot_blocks(i)
-        offsets, dim = self._offsets(blocks, g)
-        rows = []
-        for (m, q) in blocks:
-            base = offsets[(m, q)]
-            rows += [{base + j: v for j, v in r.items()}
-                     for r in self.normalized_rows(m, q, g)._rows]
-        return Matrix._trusted(self.A.ring, rows, dim)
+        blocks = self._blocks(i, g)
+        normalized = {key: self.normalized_rows(*key, g) for key, _ in blocks}
+        return block_matrix(
+            self.A.ring, [(key, N.nrows) for key, N in normalized.items()],
+            blocks, [(key, key, N, 1) for key, N in normalized.items()])
 
     def normalized_cocycle_matrix(self, i, g=None) -> Matrix:
         """[d_i | F_i]: its left kernel is the normalized cocycles of Tot^i.
 
-        F_i puts the stacked faces 1..m of each block (m, q) of Tot^i in
+        F_i puts the faces 1..m of each block (m, q) of Tot^i in block
         columns of their own, right of the differential; column-0 blocks
         have no faces and no columns there.
         """
-        d = self.tot_matrix(i, g)
-        offsets, _dim = self._offsets(self.tot_blocks(i), g)
-        rows = [dict(row) for row in d._rows]
-        width = d.ncols
-        for (m, q), base in offsets.items():
-            if m == 0:
-                continue
-            width += self._stacked_faces(m, q, g, rows, base, width)
-        return Matrix._trusted(self.A.ring, rows, width)
+        blocks = self._blocks(i, g)
+        cols = self._blocks(i + 1, g)
+        pieces = self._tot_pieces(i, g)
+        for (m, q), _dim in blocks:
+            if m:
+                face_cols, face_pieces = self._face_blocks(m, q, g)
+                cols += face_cols
+                pieces += face_pieces
+        return block_matrix(self.A.ring, blocks, cols, pieces)
 
     def total_cohomology(self, i, g=None) -> ElementaryDivisors:
         """Cohomology of the normalized truncated totalization at degree i.
@@ -333,29 +313,24 @@ class DoubleComplex:
         return self._tot_cache[key]
 
     def augmentation_is_chain_map(self, g=None) -> CheckReport:
-        """Column 0 includes as a subcochain complex of the totalization."""
+        """Column 0 includes as a subcochain complex of the totalization.
+
+        Column 0 is the first block of Tot^q, so its rows of d_total must be
+        column 0's d in the block (0, q+1) and zero everywhere else.
+        """
         for q in range(self.columns[0].max_form_degree() + 1):
-            blocks = self.tot_blocks(q)
-            if (0, q) not in blocks:
+            if (0, q) not in self.tot_blocks(q):
                 continue
-            tgt_blocks = self.tot_blocks(q + 1)
-            src_off, _ = self._offsets(blocks, g)
-            tgt_off, _ = self._offsets(tgt_blocks, g)
-            base = src_off[(0, q)]
-            dmat = self.columns[0].dmat(q, g)._rows
-            tot = self.tot_matrix(q, g)._rows
-            for r, drow in enumerate(dmat):
-                for j, v in tot[base + r].items():
-                    jj = j - tgt_off.get((0, q + 1), -1)
-                    if (0, q + 1) not in tgt_off or not \
-                       (0 <= jj < len(self.columns[0].basis(q + 1, g))):
-                        return CheckReport(
-                            "augmentation-chain-map", False,
-                            witness=f"column 0 leaks outside itself at q={q}")
-                    if drow.get(jj, 0) != v:
-                        return CheckReport(
-                            "augmentation-chain-map", False,
-                            witness=f"differential mismatch at q={q}")
+            dim = len(self.columns[0].basis(q, g))
+            tgt = self._blocks(q + 1, g)
+            pieces = [((0, q), (0, q + 1), self.columns[0].dmat(q, g), 1)] \
+                if (0, q + 1) in dict(tgt) else []
+            want = block_matrix(self.A.ring, [((0, q), dim)], tgt, pieces)
+            if self.tot_matrix(q, g)._rows[:dim] != want._rows:
+                return CheckReport(
+                    "augmentation-chain-map", False,
+                    witness=f"column 0 rows of the total differential differ "
+                            f"from d at q={q}")
         return CheckReport("augmentation-chain-map", True, details={"graded": g})
 
 

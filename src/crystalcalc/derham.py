@@ -17,6 +17,7 @@ uncertified rather than silently truncated.
 """
 
 from bisect import bisect_left
+from itertools import combinations
 from operator import mul
 from typing import NamedTuple
 
@@ -55,23 +56,6 @@ class PFSmObject:
 
     def __repr__(self):
         return f"PFSmObject({self.base.name}, level={self.level}, D={self.D})"
-
-
-def _subsets(indices, size):
-    indices = list(indices)
-    if size == 0:
-        return [()]
-    out = []
-
-    def rec(start, chosen):
-        if len(chosen) == size:
-            out.append(tuple(chosen))
-            return
-        for k in range(start, len(indices)):
-            rec(k + 1, chosen + [indices[k]])
-
-    rec(0, [])
-    return out
 
 
 class DeRhamComplex:
@@ -135,11 +119,11 @@ class DeRhamComplex:
                 nk = q - nj
                 if nk > self.npd:
                     continue
-                for J in _subsets(self.free_geom, nj):
+                for J in combinations(self.free_geom, nj):
                     wJ = sum(self.base.generators[v].weight for v in J)
                     xes = self._x_monomials() if g is None \
                         else self._x_by_degree().get(g - wJ, ())
-                    for K in _subsets(range(self.npd), nk):
+                    for K in combinations(range(self.npd), nk):
                         for te in t_monomials(self.npd, self.obj.D - nk):
                             for xe in xes:
                                 out.append(FormBasis(xe, te, J, K))
@@ -251,7 +235,7 @@ class DeRhamComplex:
                 if w in J:
                     continue
                 pos = bisect_left(J, w)
-                val = pres.reduce(coeff.mul(_embed_spec(factor, self.spec)))
+                val = pres.reduce(coeff.mul(factor.embed(self.spec)))
                 self._distribute(val, J[:pos] + (w,) + J[pos:], K,
                                  -1 if pos % 2 else 1, target_index, row, D,
                                  expected)
@@ -359,13 +343,6 @@ class DeRhamComplex:
                                        witness=f"identity fails on {b}",
                                        details={"q": q, "graded": g})
         return CheckReport(name, True, details={"graded": g})
-
-
-def _embed_spec(f: PDSeries, spec: VarSpec) -> PDSeries:
-    pad = len(spec.pd)
-    terms = {(xe, te + (0,) * (pad - len(te))): c
-             for (xe, te), c in f.terms.items()}
-    return PDSeries(spec, terms, f.prec)
 
 
 def level0_complex(A: Presentation, D: int) -> DeRhamComplex:

@@ -13,6 +13,10 @@ A ``Matrix`` stores one dict per row and nothing else, so the builders,
 products and eliminations all work on the same row dicts: the engine copies
 the rows it eliminates, ``smith_valuations`` copies the rows it mutates, and
 everything else reads the stored rows in place.
+
+Block complexes (the simplicial totalization, the Cech complex of a cover)
+are assembled by ``block_matrix`` alone: callers name their blocks and
+pieces, and only ``block_offsets`` places them.
 """
 
 from heapq import heapify, heappop, heappush
@@ -153,6 +157,46 @@ class Matrix:
                     out[j] = v
             rows.append(out)
         return Matrix._trusted(self.ring, rows, self.ncols)
+
+
+def block_offsets(blocks):
+    """First index of each block in their concatenation, and the total size.
+
+    ``blocks`` are (key, size) pairs in order.
+    """
+    offsets = {}
+    total = 0
+    for key, size in blocks:
+        offsets[key] = total
+        total += size
+    return offsets, total
+
+
+def block_matrix(ring, row_blocks, col_blocks, pieces) -> Matrix:
+    """The matrix with each piece at its block position, zero elsewhere.
+
+    Row and column blocks are (key, size) pairs in order.  A piece is
+    (row_key, col_key, M, sign): M, of the two blocks' sizes, times sign
+    +1 or -1.  Each block position holds at most one piece.
+    """
+    row_off, nrows = block_offsets(row_blocks)
+    col_off, ncols = block_offsets(col_blocks)
+    row_size, col_size = dict(row_blocks), dict(col_blocks)
+    mod = ring.modulus
+    rows = [{} for _ in range(nrows)]
+    placed = set()
+    for rkey, ckey, M, sign in pieces:
+        if (M.nrows, M.ncols) != (row_size[rkey], col_size[ckey]):
+            raise ValueError(f"piece {M.nrows}x{M.ncols} does not fit block "
+                             f"{rkey!r}, {ckey!r}")
+        if sign not in (1, -1) or (rkey, ckey) in placed:
+            raise ValueError(f"bad sign or second piece at {rkey!r}, {ckey!r}")
+        placed.add((rkey, ckey))
+        start, off = row_off[rkey], col_off[ckey]
+        for row, mrow in zip(rows[start:start + M.nrows], M._rows):
+            for j, v in mrow.items():
+                row[off + j] = v if sign == 1 else mod - v
+    return Matrix._trusted(ring, rows, ncols)
 
 
 class ElementaryDivisors:

@@ -326,6 +326,16 @@ class PDSeries:
         spec = self.spec.with_ring(ring)
         return PDSeries(spec, self.terms, min(self.prec, ring.N))
 
+    def embed(self, spec: VarSpec):
+        """This series in ``spec``, whose interval variables extend these.
+
+        The added interval variables get exponent zero.
+        """
+        pad = len(spec.pd)
+        return PDSeries(spec, {(xe, te + (0,) * (pad - len(te))): c
+                               for (xe, te), c in self.terms.items()},
+                        self.prec)
+
     def divide_exact(self, c: int):
         """Divide every coefficient by c; precision drops by val(c)."""
         ring = self.spec.ring

@@ -231,12 +231,7 @@ class LevelTower:
 
     def include(self, f: PDSeries, m_to: int) -> PDSeries:
         """Name-preserving inclusion of a lower level's carrier."""
-        spec = self.spec(m_to)
-        pad = self.nvars(m_to)
-        terms = {}
-        for (xe, te), c in f.terms.items():
-            terms[(xe, te + (0,) * (pad - len(te)))] = c
-        return PDSeries(spec, terms, f.prec)
+        return f.embed(self.spec(m_to))
 
     def product(self, m) -> PDSeries:
         """The full product T_0 * ... * T_m at level m (interval variant)."""

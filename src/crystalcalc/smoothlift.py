@@ -589,8 +589,7 @@ def build_homotopy(phi1: Morphism, phi2: Morphism, D: int) -> Homotopy:
         a = phi1.images[name]
         b = phi2.images[name]
         slope = b.sub(a).divide_exact(p).lift_precision(a.prec)
-        images[name] = _embed_level0(a, spec1).add(
-            _embed_level0(slope, spec1).mul(T))
+        images[name] = a.embed(spec1).add(slope.embed(spec1).mul(T))
     h = Homotopy(src, tgt, images, level=1, D=D, prec=phi1.prec,
                  validate=False)
     if src.relations:
@@ -606,11 +605,6 @@ def build_homotopy(phi1: Morphism, phi2: Morphism, D: int) -> Homotopy:
             raise PrecisionExhausted(f"endpoint T=p mismatch on {name}",
                                      witness=name)
     return h
-
-
-def _embed_level0(f: PDSeries, spec1: VarSpec) -> PDSeries:
-    terms = {(xe, (0,)): c for (xe, _te), c in f.terms.items()}
-    return PDSeries(spec1, terms, f.prec)
 
 
 def fill_mapping_boundary(m: int, faces, base: dict, D: int) -> Morphism:

@@ -426,3 +426,20 @@ def test_cech_at_empty_pole_window_is_inconclusive(tmp_path):
     assert "status: inconclusive" in lines[:4]
     assert "witness: window E=0 holds no pole term of any chart" in lines
     assert "status: pass" not in lines
+
+
+@pytest.mark.parametrize("cover, a, b", [("x,x-4,x-1", 0, 4),
+                                         ("x,x-2,1", 0, 2)])
+def test_cech_with_roots_that_agree_mod_p_is_inconclusive(tmp_path, cover,
+                                                          a, b):
+    # in Z/8, (x-4)^(-1) = x^(-1) + 4x^(-2): the partial-fraction labels of
+    # a chart inverting x and x - 4 are dependent, so its model is not the
+    # localization and the comparison certifies nothing
+    code, text = run_cli(["dr", "--algebra", "a1", "--p", "2", "--N", "3",
+                          "--E", "4", "--cech", cover], tmp_path)
+    assert code == 1
+    lines = text.splitlines()
+    assert "status: inconclusive" in lines[:5]
+    assert (f"witness: roots {a} and {b} agree mod 2: the chart model is "
+            "not the localization") in lines
+    assert "status: pass" not in lines

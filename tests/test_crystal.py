@@ -489,3 +489,24 @@ def test_built_matrices_store_validated_rows(name, ring, E, M, D):
     assert sum(not mat.is_zero() for mat in built) > 10
     for mat in built:
         assert_rows_validated(mat)
+
+
+@pytest.mark.parametrize("where", ["column 0", "column 1"])
+def test_augmentation_check_catches_a_corrupted_column0_row(where):
+    # one changed entry in a column-0 row of Tot^0, inside the block (0, 1)
+    # of d or outside it, and column 0 no longer includes as a subcomplex
+    A = catalog("gm", ZpN(3, 2), E=4)
+    dc = DoubleComplex(A, 2, 3)
+    g = 1
+    assert dc.augmentation_is_chain_map(g).passed
+    d = dc.tot_matrix(0, g)
+    d0 = dc.columns[0].dmat(0, g)
+    assert d0.nrows >= 1 and dc.tot_blocks(1)[0] == (0, 1)
+    j = 0 if where == "column 0" else d.ncols - 1
+    assert (j < d0.ncols) == (where == "column 0")
+    rows = d.row_dicts()
+    rows[0][j] = rows[0].get(j, 0) + 1
+    dc._tot_cache[("d", 0, g)] = Matrix.from_row_dicts(A.ring, rows, d.ncols)
+    rep = dc.augmentation_is_chain_map(g)
+    assert not rep.passed
+    assert "q=0" in rep.witness

@@ -9,18 +9,19 @@ from crystalcalc.derham import (
     DeRhamComplex,
     FormBasis,
     PFSmObject,
-    _embed_spec,
     base_change_check,
     graded_cells,
     poincare_check,
     torsion_check,
 )
-from crystalcalc.errors import NotACover
+from crystalcalc.errors import ContainmentViolation, NotACover
 from crystalcalc.linalg import ElementaryDivisors, Matrix
 from crystalcalc.localized import LocalizedLine, cech_descent_check
 from crystalcalc.ring import ZpN
 from crystalcalc.series import GeomVar, PDSeries
 from crystalcalc.smoothlift import Presentation, catalog, unit_pair_presentation
+
+from dense_matrices import assert_rows_validated
 
 R33 = ZpN(3, 3)
 
@@ -231,6 +232,52 @@ def test_cech_three_charts():
     assert rep.passed, rep.witness
 
 
+def test_cech_roots_that_agree_mod_p_are_inconclusive():
+    ring = ZpN(2, 3)
+    for cover, roots in (
+            ([{1: 1}, {1: 1, 0: -4}, {1: 1, 0: -1}], [0, 4]),  # x, x-4, x-1
+            ([{1: 1}, {1: 1, 0: -2}, {0: 1}], [0, 2])):        # x, x-2, 1
+        rep = cech_descent_check(ring, 4, cover)
+        assert rep.status() == "inconclusive"
+        assert rep.details["roots"] == roots
+    # without a unit, x and x-4 are still not a cover
+    rep = cech_descent_check(ring, 4, [{1: 1}, {1: 1, 0: -4}])
+    assert rep.status() == "fail"
+    assert "not a cover" in rep.witness
+
+
+def test_cech_fails_when_one_restriction_is_negated(monkeypatch):
+    # negating the degree-0 restriction from the chart of x alone breaks
+    # the commuting square with d, so d o d != 0 on Tot^0; negating every
+    # restriction would only change the sign convention
+    restriction = LocalizedLine.restriction
+
+    def negated(self, q, finer):
+        M = restriction(self, q, finer)
+        return M.scale(-1) if q == 0 and self.roots == (0,) else M
+
+    ring = ZpN(2, 2)
+    cover = [{1: 1}, {1: 1, 0: -1}]
+    assert cech_descent_check(ring, 6, cover).passed
+    monkeypatch.setattr(LocalizedLine, "restriction", negated)
+    with pytest.raises(ContainmentViolation):
+        cech_descent_check(ring, 6, cover)
+
+
+def test_localized_matrices_store_validated_rows():
+    # Z/4 with E = 6: d(x^4) = 4x^3 dx and d((x-c)^-4) vanish mod 4 and
+    # must not be stored
+    ring = ZpN(2, 2)
+    line = LocalizedLine(ring, 6, (0, 1))
+    for q in (-1, 0, 1):
+        assert_rows_validated(line.dmat(q))
+        assert_rows_validated(LocalizedLine(ring, 6, (0,)).restriction(q, line))
+    d = line.dmat(0)
+    assert d.row_dicts()[line.basis(0).index(("poly", 4))] == {}
+    assert (d.nrows, d.ncols) == (len(line.basis(0)), len(line.basis(1)))
+    assert line.dmat(1).ncols == 0
+
+
 def test_poincare_m3_point():
     A = catalog("point", R33)
     rep = poincare_check(A, 3, D=4)
@@ -267,7 +314,7 @@ def _d_row_multiplying_by_one(cx, b, index):
             if w in b.J:
                 continue
             sign = -1 if sum(1 for j in b.J if j < w) % 2 else 1
-            val = pres.reduce(coeff.mul(_embed_spec(factor, spec)))
+            val = pres.reduce(coeff.mul(factor.embed(spec)))
             cx._distribute(val, tuple(sorted(b.J + (w,))), b.K, sign, index,
                            row, cx.obj.D, expected)
     for w in range(cx.npd):

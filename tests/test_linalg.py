@@ -12,6 +12,7 @@ from crystalcalc.linalg import (
     ElementaryDivisors,
     HowellBasis,
     Matrix,
+    block_matrix,
     complex_cohomology,
     howell_form,
     kernel,
@@ -610,3 +611,51 @@ def test_products_store_validated_rows():
             for M in built:
                 assert_rows_validated(M)
             assert A.add(A.scale(-1)).is_zero()
+
+
+@pytest.mark.parametrize("p,N", [(2, 3), (3, 2), (5, 1)])
+def test_block_matrix_matches_dense_assembly(p, N):
+    ring = ZpN(p, N)
+    mod = ring.modulus
+    rnd = random.Random(p * 10 + N)
+    # an empty row block, an empty column block, and a column block
+    # ("unused") that no piece touches
+    row_blocks = [("a", 2), ("empty", 0), ("b", 3)]
+    col_blocks = [("x", 3), ("unused", 2), ("z", 0), ("y", 1)]
+    sizes = dict(row_blocks + col_blocks)
+
+    def rand(r, c):
+        return from_rows(ring, [[rnd.randrange(mod) for _ in range(c)]
+                                for _ in range(r)], c)
+
+    pieces = [(r, c, rand(sizes[r], sizes[c]), s)
+              for r, c, s in [("a", "x", 1), ("a", "y", -1), ("b", "x", -1),
+                              ("b", "y", 1), ("empty", "x", -1),
+                              ("b", "z", 1)]]
+    # dense reference, offsets written out by hand
+    row_start = {"a": 0, "empty": 2, "b": 2}
+    col_start = {"x": 0, "unused": 3, "z": 5, "y": 5}
+    dense = [[0] * 6 for _ in range(5)]
+    for r, c, M, s in pieces:
+        for i, row in enumerate(to_dense(M)):
+            for j, v in enumerate(row):
+                dense[row_start[r] + i][col_start[c] + j] = s * v % mod
+    got = block_matrix(ring, row_blocks, col_blocks, pieces)
+    assert (got.nrows, got.ncols) == (5, 6)
+    assert to_dense(got) == dense
+    assert any(s == -1 and M.nrows and not M.is_zero()
+               for _r, _c, M, s in pieces)
+    assert_rows_validated(got)
+
+
+def test_block_matrix_rejects_misplaced_pieces():
+    ring = ZpN(3, 2)
+    blocks = [("a", 2), ("b", 1)]
+    square = Matrix.identity(ring, 2)
+    with pytest.raises(ValueError):
+        block_matrix(ring, blocks, blocks, [("a", "b", square, 1)])
+    with pytest.raises(ValueError):
+        block_matrix(ring, blocks, blocks, [("a", "a", square, 3)])
+    with pytest.raises(ValueError):
+        block_matrix(ring, blocks, blocks,
+                     [("a", "a", square, 1), ("a", "a", square, -1)])
