@@ -11,7 +11,7 @@ The package is organized bottom-up:
 * ``smoothlift`` -- presentations of smooth algebras, Newton lifting,
                     homotopies and mapping-space fillers.
 * ``derham``     -- divided-power de Rham complexes, the integration
-                    contraction, the Poincare, torsion and base-change checks.
+                    contraction, the Poincare and base-change checks.
 * ``localized``  -- Zariski localizations of the affine line and Cech
                     descent along a cover.
 * ``crystal``    -- the simplicial de Rham double complex, totalization,
@@ -42,9 +42,7 @@ from .linalg import (
     HowellBasis,
     Matrix,
     complex_cohomology,
-    howell_form,
     kernel,
-    solve_in_rowspace,
     subquotient,
 )
 from .localized import cech_descent_check
@@ -72,8 +70,8 @@ from .smoothlift import (
 
 __all__ = [
     "ZpN",
-    "Matrix", "ElementaryDivisors", "HowellBasis", "howell_form", "kernel",
-    "subquotient", "solve_in_rowspace", "complex_cohomology",
+    "Matrix", "ElementaryDivisors", "HowellBasis", "kernel", "subquotient",
+    "complex_cohomology",
     "GeomVar", "VarSpec", "PDSeries", "gamma_of_series", "pd_substitute",
     "SimplexMap", "LevelTower", "verify_simplicial_identities",
     "boundary_restriction", "verify_boundary_kernel", "check_regular_sequence",

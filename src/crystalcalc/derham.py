@@ -22,13 +22,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import CapsTooSmall
-from .linalg import (
-    ElementaryDivisors,
-    HowellBasis,
-    Matrix,
-    complex_cohomology,
-    kernel,
-)
+from .linalg import ElementaryDivisors, Matrix, complex_cohomology
 from .reports import CheckReport, merge_reports
 from .ring import ZpN
 from .series import PDSeries, VarSpec
@@ -447,69 +441,28 @@ def poincare_check(A: Presentation, m: int, D: int) -> CheckReport:
     return merge_reports(f"poincare-{A.name}-m{m}", reports)
 
 
-def torsion_check(ring: ZpN, rank: int, relation_rows=None) -> CheckReport:
-    """Multiplication by p is injective from precision N-1 representatives.
-
-    The module is (Z/p^N)^rank modulo the span of ``relation_rows`` (none
-    for an honest form module; the hook exists so corrupted complexes are
-    caught).  Kernel classes of multiplication by p must already vanish at
-    precision N-1.
-    """
-    name = "pi-torsion-free"
-    rel = [dict(r) for r in (relation_rows or [])]
-    entries = {}
-    nrel = len(rel)
-    for r in range(rank):
-        entries[(r, r)] = ring.p
-    for s, row in enumerate(rel):
-        for j, v in row.items():
-            entries[(rank + s, j)] = v
-    stacked = Matrix(ring, rank + nrel, rank, entries)
-    ker = kernel(stacked)
-    allowed = [dict(r) for r in rel]
-    allowed += [{j: ring.p ** (ring.N - 1)} for j in range(rank)]
-    hb = HowellBasis(ring, allowed, rank)
-    for row in ker._rows:
-        f_part = {j: v for j, v in row.items() if j < rank}
-        if f_part and not hb.contains(f_part):
-            j = sorted(f_part)[0]
-            return CheckReport(name, False,
-                               witness=f"p-torsion class supported at column {j}",
-                               details={"rank": rank})
-    return CheckReport(name, True, details={"rank": rank})
-
-
 def base_change_check(A: Presentation, m: int, D: int) -> CheckReport:
-    """Windowed torsion-freeness plus the mod-p basis-to-basis comparison."""
-    obj = PFSmObject(A, m, D)
-    cx = DeRhamComplex(obj)
-    reports = []
-    for q in range(cx.max_form_degree() + 1):
-        rank = len(cx.basis(q))
-        rep = torsion_check(A.ring, rank)
-        if not rep.passed:
-            return merge_reports(f"base-change-{A.name}-m{m}", reports + [rep])
-    reports.append(CheckReport("pi-torsion-free", True,
-                               details={"m": m, "degrees": cx.max_form_degree() + 1}))
-
-    small_pres = _change_precision(A, 1)
-    small = DeRhamComplex(PFSmObject(small_pres, m, D))
+    """The mod-p identification: the level-m complex over Z/p^N reduces mod
+    p to the same complex built over Z/p, basis for basis."""
+    name = f"base-change-{A.name}-m{m}"
+    cx = DeRhamComplex(PFSmObject(A, m, D))
+    small = DeRhamComplex(PFSmObject(_change_precision(A, 1), m, D))
     p = A.ring.p
     for q in range(cx.max_form_degree() + 1):
         if cx.basis(q) != small.basis(q):
-            return merge_reports(f"base-change-{A.name}-m{m}", reports + [
+            return merge_reports(name, [
                 CheckReport("mod-p-identification", False,
                             witness=f"basis mismatch in form degree {q}")])
         got = [{j: v % p for j, v in row.items() if v % p}
                for row in cx.dmat(q)._rows]
         want = small.dmat(q)._rows
         if got != want:
-            return merge_reports(f"base-change-{A.name}-m{m}", reports + [
+            return merge_reports(name, [
                 CheckReport("mod-p-identification", False,
                             witness=f"differential mismatch mod p in degree {q}",
                             details={"q": q})])
-    reports.append(CheckReport("mod-p-identification", True, details={"m": m}))
-    return merge_reports(f"base-change-{A.name}-m{m}", reports)
+    return merge_reports(name, [
+        CheckReport("mod-p-identification", True, details={"m": m})])
 
 
 def _change_precision(A: Presentation, N: int) -> Presentation:

@@ -402,16 +402,6 @@ def _walk(res, lead, mod, start=-1):
         yield key, q
 
 
-def howell_form(M: Matrix):
-    """Canonical Howell form H of the row span of M, with U such that U*M = H."""
-    transforms = [{i: 1} for i in range(M.nrows)]
-    pivots = _reduce_above(M.ring,
-                           _howell_engine(M.ring, M._rows, transforms)[0])
-    H = Matrix._trusted(M.ring, [row for _c, row, _t, _v in pivots], M.ncols)
-    U = Matrix._trusted(M.ring, [t for _c, _r, t, _v in pivots], M.nrows)
-    return H, U
-
-
 def _kernel_pivots(M: Matrix):
     """Howell pivots of the left kernel of M, in two engine passes.
 
@@ -498,14 +488,6 @@ def _reduce(ring, lead, vec):
     mod = ring.modulus
     res = {j: v % mod for j, v in vec.items() if v % mod}
     return res, dict(_walk(res, lead, mod))
-
-
-def solve_in_rowspace(M: Matrix, b: dict):
-    """Coordinates x (a dict over row indices) with x*M = b, or None.
-
-    b is a column->value dict; see ``HowellBasis.solve``.
-    """
-    return HowellBasis(M.ring, M, transforms=True).solve(b)
 
 
 def smith_valuations(M: Matrix):

@@ -124,6 +124,9 @@ def cech_descent_check(ring: ZpN, E: int, cover_elements) -> CheckReport:
         # normalize to monic: root of x - c
         c = (-deg0 * ring.unit_inverse(deg1)) % ring.modulus
         roots.append(c)
+    # a repeated chart adds nothing to the cover: one chart per distinct
+    # root, and at most one for all unit elements
+    roots = list(dict.fromkeys(roots))
     real_roots = [c for c in roots if c is not None]
     if len(real_roots) > 3:
         raise NotACover("covers of size above 3 are not certified",

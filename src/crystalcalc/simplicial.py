@@ -21,6 +21,7 @@ term c*x^a*T^te then goes to c*x^a times that image.  The image has no x,
 since sigma fixes the geometric variables, so every product term keeps the
 x-monomial x^a of the input: it stays inside the window, and an input in
 quotient normal form gives an output in normal form, with no reduction.
+``face_matrix`` writes a face in coordinates from the same cache.
 
 The simplicial identity check builds the structure images of each face and
 degeneracy once per check.  Every image is affine in the T variables (a sum
@@ -38,7 +39,7 @@ from itertools import permutations
 from .errors import (IncompatibleFaces, PrecisionExhausted,
                      SignConventionViolation, SubstitutionOutsideIdeal,
                      VarSpecMismatch)
-from .linalg import HowellBasis, Matrix, kernel
+from .linalg import HowellBasis, Matrix, block_matrix, kernel
 from .reports import CheckReport, merge_reports
 from .ring import ZpN
 from .series import PDSeries, VarSpec, pd_substitute
@@ -136,6 +137,7 @@ class LevelTower:
         self._t_images = {}
         self._products = {}
         self._product_spaces = {}
+        self._indices = {}
 
     def nvars(self, m):
         return m if self.variant == "interval" else m + 1
@@ -229,10 +231,6 @@ class LevelTower:
     def degeneracy(self, m, i, f: PDSeries) -> PDSeries:
         return self.apply_map(SimplexMap.codegeneracy(m, i), f)
 
-    def include(self, f: PDSeries, m_to: int) -> PDSeries:
-        """Name-preserving inclusion of a lower level's carrier."""
-        return f.embed(self.spec(m_to))
-
     def product(self, m) -> PDSeries:
         """The full product T_0 * ... * T_m at level m (interval variant)."""
         prod = self._products.get(m)
@@ -246,30 +244,24 @@ class LevelTower:
     def _product_space(self, m, prec=None):
         """The row space of the product multiples at level m, cached.
 
-        Returns (monomials, index, space): the rows are the product times
-        T^te for each listed monomial te (total degree <= D - (m+1), so no
-        product truncates), over the level-m basis whose column numbers
-        ``index`` gives; ``space`` is their Howell form with transforms.
-        At a precision prec < N the rows p^prec * e_j follow, one per basis
-        column, so that ``space`` solves modulo p^prec; coordinates past the
-        listed monomials belong to those rows.
+        Returns (monomials, space): the rows are the product times T^te for
+        each listed monomial te (total degree <= D - (m+1), so no product
+        truncates), over ``basis(m)``; ``space`` is their Howell form with
+        transforms.  At a precision prec < N the rows p^prec * e_j follow,
+        one per basis column, so that ``space`` solves modulo p^prec;
+        coordinates past the listed monomials belong to those rows.
         """
         N = self.ring.N
         prec = N if prec is None else prec
         entry = self._product_spaces.get((m, prec))
         if entry is None:
-            spec = self.spec(m)
-            prod = self.product(m)
             monos = t_monomials(self.nvars(m), self.D - (m + 1))
-            index = {te: k for k, te in enumerate(self.basis(m))}
-            rows = []
-            for te in monos:
-                img = prod.mul(PDSeries(spec, {(spec.zero_x(), te): 1}))
-                rows.append({index[t]: c for (_xe, t), c in img.terms.items()})
+            rows = self.multiples(m, self.product(m), monos)
+            ncols = len(self._index(m))
             if prec < N:
-                rows += [{j: self.ring.p ** prec} for j in range(len(index))]
-            space = HowellBasis(self.ring, rows, len(index), transforms=True)
-            entry = self._product_spaces[(m, prec)] = (monos, index, space)
+                rows += [{j: self.ring.p ** prec} for j in range(ncols)]
+            space = HowellBasis(self.ring, rows, ncols, transforms=True)
+            entry = self._product_spaces[(m, prec)] = (monos, space)
         return entry
 
     def boundary_class(self, m, f: PDSeries) -> PDSeries:
@@ -281,14 +273,11 @@ class LevelTower:
         precision (``_product_space(m, f.prec)``), so the class is canonical
         modulo p^prec.
         """
-        _monos, index, space = self._product_space(m, f.prec)
-        out_terms = {}
-        by_xe = {}
-        for (xe, te), c in f.terms.items():
-            by_xe.setdefault(xe, {})[index[te]] = c
+        _monos, space = self._product_space(m, f.prec)
         basis = self.basis(m)
-        for xe in sorted(by_xe):
-            res, _ = space.reduce(by_xe[xe])
+        out_terms = {}
+        for xe, vec in self._rows_by_x(m, f):
+            res, _ = space.reduce(vec)
             for k, c in res.items():
                 out_terms[(xe, basis[k])] = c
         return PDSeries(self.spec(m), out_terms, f.prec)
@@ -308,9 +297,16 @@ class LevelTower:
     def basis(self, m):
         return t_monomials(self.nvars(m), self.D)
 
-    def series_to_vector(self, m, f: PDSeries, index=None) -> dict:
+    def _index(self, m):
+        """Column numbers of the ``basis(m)`` monomials, cached."""
+        index = self._indices.get(m)
         if index is None:
             index = {te: k for k, te in enumerate(self.basis(m))}
+            self._indices[m] = index
+        return index
+
+    def series_to_vector(self, m, f: PDSeries) -> dict:
+        index = self._index(m)
         vec = {}
         for (xe, te), c in f.terms.items():
             if any(xe):
@@ -318,13 +314,42 @@ class LevelTower:
             vec[index[te]] = c
         return vec
 
-    def vector_to_series(self, m, vec: dict, prec=None) -> PDSeries:
-        basis = self.basis(m)
-        terms = {}
-        xe = self.spec(m).zero_x()
-        for k, c in vec.items():
-            terms[(xe, basis[k])] = c
-        return PDSeries(self.spec(m), terms, prec)
+    def _rows_by_x(self, m, f: PDSeries):
+        """f split by x-monomial, as sorted (x^a, coordinate row) pairs.
+
+        The row of x^a holds the coefficients of x^a * T^te over
+        ``basis(m)``.
+        """
+        index = self._index(m)
+        by_xe = {}
+        for (xe, te), c in f.terms.items():
+            by_xe.setdefault(xe, {})[index[te]] = c
+        return sorted(by_xe.items())
+
+    def face_matrix(self, m, i) -> Matrix:
+        """Face i from level m to level m-1 in coordinates.
+
+        One row per ``basis(m)`` monomial T^te: the cached ``t_image`` of
+        T^te under the coface, over ``basis(m-1)``.
+        """
+        sigma = SimplexMap.coface(m, i)
+        index = self._index(m - 1)
+        rows = []
+        for te in self.basis(m):
+            img = self.t_image(sigma, te)
+            rows.append({index[t]: c for (_xe, t), c in img.terms.items()})
+        return Matrix._trusted(self.ring, rows, len(index))
+
+    def multiples(self, m, a: PDSeries, monos):
+        """The coordinate rows of a * T^te at level m, one per te in monos.
+
+        Callers keep deg a + deg te <= D, so nothing truncates and the spans
+        are exact.
+        """
+        spec = self.spec(m)
+        return [self.series_to_vector(
+                    m, a.mul(PDSeries(spec, {(spec.zero_x(), te): 1})))
+                for te in monos]
 
 
 # -- simplicial identity suite -----------------------------------------
@@ -567,7 +592,9 @@ def verify_boundary_kernel(p: int, N: int, D: int, m: int) -> CheckReport:
     whose faces vanish only because a p-power overflowed the modulus, so the
     kernel is computed with valuation headroom (precision N + D + m + 1) and
     then projected back to precision N, where it must coincide with the span
-    of exact product multiples.
+    of exact product multiples.  The m+1 face matrices stand side by side,
+    so the kernel is one left kernel, and one product certifies that every
+    product multiple has zero faces.
     """
     name = "boundary-kernel"
     if m < 1:
@@ -577,63 +604,40 @@ def verify_boundary_kernel(p: int, N: int, D: int, m: int) -> CheckReport:
     buffered = ZpN(p, N + D + m + 1)
     tower = LevelTower(buffered, D)
     basis_m = tower.basis(m)
-    basis_f = tower.basis(m - 1)
-    idx_f = {te: k for k, te in enumerate(basis_f)}
-    nf = len(basis_f)
-
-    entries = {}
-    for r, te in enumerate(basis_m):
-        elt = tower.vector_to_series(m, {r: 1})
-        for i in range(m + 1):
-            img = tower.face(m, i, elt)
-            for (_xe, te2), c in img.terms.items():
-                entries[(r, i * nf + idx_f[te2])] = c
-    face_matrix = Matrix(buffered, len(basis_m), (m + 1) * nf, entries)
+    ncols = len(basis_m)
+    nf = len(tower.basis(m - 1))
+    faces = block_matrix(buffered, [("m", ncols)],
+                         [(i, nf) for i in range(m + 1)],
+                         [("m", i, tower.face_matrix(m, i), 1)
+                          for i in range(m + 1)])
 
     # exact product multiples (degrees small enough that nothing truncates)
-    prod = tower.product(m)
-    ideal_rows = []
-    for te in t_monomials(tower.nvars(m), D - (m + 1)):
-        mu = PDSeries(tower.spec(m), {(tower.spec(m).zero_x(), te): 1})
-        row_series = prod.mul(mu)
-        # every face of a product multiple must vanish exactly
-        for i in range(m + 1):
-            if not tower.face(m, i, row_series).is_zero():
-                return CheckReport(name, False,
-                                   witness=f"product multiple {mu} has "
-                                           f"nonzero face {i}",
-                                   details={"m": m})
-        ideal_rows.append(tower.series_to_vector(m, row_series))
-
-    ker = kernel(face_matrix)
+    monos = t_monomials(tower.nvars(m), D - (m + 1))
+    ideal_rows = tower.multiples(m, tower.product(m), monos)
+    # every face of a product multiple must vanish exactly
+    products = Matrix._trusted(buffered, ideal_rows, ncols).mul(faces)
+    for te, row in zip(monos, products._rows):
+        if row:
+            mu = PDSeries(tower.spec(m), {(tower.spec(m).zero_x(), te): 1})
+            return CheckReport(name, False,
+                               witness=f"product multiple {mu} has "
+                                       f"nonzero face {min(row) // nf}",
+                               details={"m": m})
 
     # project both modules to precision N and compare canonical forms
     small = ZpN(p, N)
-    small_mod = small.modulus
-
-    def project(rows_dicts):
-        return [{j: v % small_mod for j, v in r.items() if v % small_mod}
-                for r in rows_dicts]
-
-    ker_rows = project(ker._rows)
-    ideal_rows_small = project(ideal_rows)
-    ncols = len(basis_m)
-    hb_ker = HowellBasis(small, ker_rows, ncols)
-    hb_ideal = HowellBasis(small, ideal_rows_small, ncols)
-    for row in hb_ker.rows():
-        if not hb_ideal.contains(row):
-            te = basis_m[sorted(row)[0]]
-            return CheckReport(name, False,
-                               witness=f"kernel element at monomial {te} "
-                                       f"is not a product multiple",
-                               details={"m": m, "D": D, "N": N})
-    for row in hb_ideal.rows():
-        if not hb_ker.contains(row):
-            te = basis_m[sorted(row)[0]]
-            return CheckReport(name, False,
-                               witness=f"product multiple at monomial {te} "
-                                       f"escapes the face kernel",
-                               details={"m": m, "D": D, "N": N})
+    hb_ker = HowellBasis(small, kernel(faces)._rows, ncols)
+    hb_ideal = HowellBasis(small, ideal_rows, ncols)
+    for rows, span, failure in (
+            (hb_ker, hb_ideal, "kernel element at monomial {} is not a "
+                               "product multiple"),
+            (hb_ideal, hb_ker, "product multiple at monomial {} escapes "
+                               "the face kernel")):
+        for row in rows.rows():
+            if not span.contains(row):
+                return CheckReport(name, False,
+                                   witness=failure.format(basis_m[min(row)]),
+                                   details={"m": m, "D": D, "N": N})
     return CheckReport(name, True,
                        details={"m": m, "D": D, "N": N,
                                 "buffer": buffered.N - N,
@@ -667,20 +671,12 @@ def check_regular_sequence(p: int, N: int, D: int, m: int, perm,
     buffered = ZpN(p, N + D + 2)
     small = ZpN(p, N)
     tower = LevelTower(buffered, D)
-    spec = tower.spec(m)
     basis = tower.basis(m)
-    index = {te: k for k, te in enumerate(basis)}
+    index = tower._index(m)
     nall = len(basis)
     basis_in = [te for te in basis if sum(te) <= D - 1]
     in_to_all = {k: index[te] for k, te in enumerate(basis_in)}
     nin = len(basis_in)
-
-    def multiples(a, monos):
-        """The coordinate rows of a * T^te.  Callers keep deg a + deg te
-        <= D, so nothing truncates and the spans are exact."""
-        return [tower.series_to_vector(
-                    m, a.mul(PDSeries(spec, {(spec.zero_x(), te): 1})), index)
-                for te in monos]
 
     elements = [tower.var_or_derived(m, j) for j in perm]
 
@@ -688,17 +684,16 @@ def check_regular_sequence(p: int, N: int, D: int, m: int, perm,
     prev_rows_low = []    # same but degree <= D-1 (for the membership target)
     if boundary_quotient:
         monos = t_monomials(tower.nvars(m), D - (m + 1))
-        for te, row in zip(monos, multiples(tower.product(m), monos)):
-            prev_rows_full.append(row)
-            if sum(te) + m + 1 <= D - 1:
-                prev_rows_low.append(row)
+        prev_rows_full = tower.multiples(m, tower.product(m), monos)
+        prev_rows_low = [row for te, row in zip(monos, prev_rows_full)
+                         if sum(te) + m + 1 <= D - 1]
 
     for stage, a in enumerate(elements):
         hb_low = HowellBasis(small, prev_rows_low, nall)
         # f*a lies in the previous ideal iff (f, y) kills the stacked matrix
         # [multiplication rows; ideal generator rows]; the multiplication
         # rows then extend the ideal for the next stage
-        mult_rows = multiples(a, basis_in)
+        mult_rows = tower.multiples(m, a, basis_in)
         ker = kernel(Matrix._trusted(buffered, mult_rows + prev_rows_full,
                                      nall))
         for row in ker._rows:
@@ -753,13 +748,10 @@ def divide_by_variable_product(tower: LevelTower, m: int, g: PDSeries):
     the interval-variable coordinates, against the product multiples that
     the tower eliminates once per level and precision.
     """
-    monos, index, space = tower._product_space(m, g.prec)
-    by_xe = {}
-    for (xe, te), c in g.terms.items():
-        by_xe.setdefault(xe, {})[index[te]] = c
+    monos, space = tower._product_space(m, g.prec)
     q_terms = {}
-    for xe in sorted(by_xe):
-        x = space.solve(by_xe[xe])
+    for xe, vec in tower._rows_by_x(m, g):
+        x = space.solve(vec)
         if x is None:
             return None
         for k, v in x.items():
@@ -781,7 +773,7 @@ def fill_boundary(tower: LevelTower, m: int, faces, base: PDSeries) -> PDSeries:
         raise ValueError("fillers are defined for the interval variant")
     if m == 0:
         lifted = PDSeries(base.spec.with_ring(tower.ring), base.terms)
-        return tower.include(lifted, 0)
+        return lifted.embed(tower.spec(0))
     if len(faces) != m + 1:
         raise IncompatibleFaces(f"expected {m+1} faces, got {len(faces)}")
     if not faces_compatible(tower, m, faces):
@@ -808,7 +800,7 @@ def fill_boundary(tower: LevelTower, m: int, faces, base: PDSeries) -> PDSeries:
         # the divided coefficient is only determined at precision N-1; the
         # canonical representative keeps both face evaluations exact
         q = g.divide_exact(tower.ring.p)
-        correction = tower.include(q.lift_precision(f.prec), 1) \
+        correction = q.lift_precision(f.prec).embed(tower.spec(1)) \
             .mul(tower.var(1, 0))
     else:
         q = divide_by_variable_product(tower, m - 1, g)
@@ -816,7 +808,7 @@ def fill_boundary(tower: LevelTower, m: int, faces, base: PDSeries) -> PDSeries:
             raise PrecisionExhausted(
                 "residual defect is not a product multiple at this precision",
                 witness=g)
-        correction = tower.include(q, m)
+        correction = q.embed(tower.spec(m))
         for i in range(m):
             correction = correction.mul(tower.var(m, i))
     f = f.add(correction)

@@ -22,7 +22,7 @@ from .errors import (
     RewriteLoop,
     WitnessNotInvertible,
 )
-from .linalg import Matrix, solve_in_rowspace
+from .linalg import HowellBasis
 from .ring import ZpN
 from .series import GeomVar, PDSeries, VarSpec, pd_substitute
 from .simplicial import LevelTower, fill_boundary, t_monomials
@@ -213,9 +213,9 @@ class Presentation:
                 if key in index:
                     row[index[key]] = c
             rows.append(row)
-        M = Matrix.from_row_dicts(self.ring, rows, len(basis))
         target = {index[(spec.zero_x(), spec.zero_t())]: 1}
-        x = solve_in_rowspace(M, target)
+        space = HowellBasis(self.ring, rows, len(basis), transforms=True)
+        x = space.solve(target)
         if x is None:
             raise NotInvertible("element is not a unit in the windowed quotient",
                                 witness=f)
@@ -438,7 +438,7 @@ class Morphism:
     def degeneracy(self, i, D=None) -> "Morphism":
         D = self.D if D is None else D
         tower = self.target.mapping_tower(D)
-        images = {n: tower.include(img, self.level)
+        images = {n: img.embed(tower.spec(self.level))
                   if img.spec != tower.spec(self.level) else img
                   for n, img in self.images.items()}
         images = {n: tower.degeneracy(self.level, i, img)

@@ -232,7 +232,7 @@ def test_criterion_07_base_change(name, m):
     A = catalog(name, ZpN(3, 3), E=9)
     rep = base_change_check(A, m, D=8)
     assert rep.passed, rep.witness
-    announce(7, f"torsion-freeness and mod-p identification: {name}, m={m}",
+    announce(7, f"mod-p identification of the level-{m} complex: {name}",
              start)
 
 

@@ -428,6 +428,19 @@ def test_cech_at_empty_pole_window_is_inconclusive(tmp_path):
     assert "status: pass" not in lines
 
 
+@pytest.mark.parametrize("cover", ["x,x,x-1,2x-2", "x,x,1,x-1,1,2x-2"])
+def test_cech_with_repeated_charts_is_the_cover_without_them(tmp_path, cover):
+    # a repeated chart adds nothing: two distinct roots, well under the cap
+    # of three, and the same report as the cover x, x-1
+    argv = ["dr", "--algebra", "a1", "--p", "5", "--N", "2", "--E", "3"]
+    code, text = run_cli(argv + ["--cech", cover], tmp_path, "repeated.txt")
+    _, plain = run_cli(argv + ["--cech", "x,x-1"], tmp_path, "plain.txt")
+    assert code == 0
+    assert "status: pass" in text.splitlines()[:5]
+    assert "check: cech-descent" in text
+    assert text == plain
+
+
 @pytest.mark.parametrize("cover, a, b", [("x,x-4,x-1", 0, 4),
                                          ("x,x-2,1", 0, 2)])
 def test_cech_with_roots_that_agree_mod_p_is_inconclusive(tmp_path, cover,

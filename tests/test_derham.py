@@ -12,7 +12,6 @@ from crystalcalc.derham import (
     base_change_check,
     graded_cells,
     poincare_check,
-    torsion_check,
 )
 from crystalcalc.errors import ContainmentViolation, NotACover
 from crystalcalc.linalg import ElementaryDivisors, Matrix
@@ -179,13 +178,6 @@ def test_base_change(name, m):
     A = catalog(name, R33, E=4)
     rep = base_change_check(A, m, D=3)
     assert rep.passed, rep.witness
-
-
-def test_torsion_negative_control():
-    # quotienting a basis vector by p^(N-2) leaves visible p-torsion
-    ring = ZpN(3, 3)
-    rep = torsion_check(ring, 3, relation_rows=[{0: 3}])
-    assert not rep.passed
 
 
 # -- cech descent ------------------------------------------------------------------

@@ -14,10 +14,8 @@ from crystalcalc.linalg import (
     Matrix,
     block_matrix,
     complex_cohomology,
-    howell_form,
     kernel,
     smith_valuations,
-    solve_in_rowspace,
     subquotient,
 )
 from crystalcalc.ring import ZpN
@@ -66,9 +64,9 @@ def random_matrix(ring, rng, nrows, ncols):
 def test_howell_identity():
     ring = ZpN(3, 2)
     I = Matrix.identity(ring, 3)
-    H, U = howell_form(I)
-    assert H == I
-    assert U == I
+    hb = HowellBasis(ring, I, transforms=True)
+    assert hb.rows() == I.row_dicts()
+    assert [t for _c, _r, t, _v in hb.pivots] == I.row_dicts()
 
 
 def test_howell_single_p_entry():
@@ -77,9 +75,10 @@ def test_howell_single_p_entry():
     M = from_rows(ring, [[3]])
     brute = enumerate_span(ring, [[3]], 1)
     assert brute == {(0,), (3,), (6,)}
-    H, U = howell_form(M)
-    assert to_dense(H) == [[3]]
-    assert U.mul(M) == H
+    hb = HowellBasis(ring, M, transforms=True)
+    assert hb.rows() == [{0: 3}]
+    U = Matrix.from_row_dicts(ring, [t for _c, _r, t, _v in hb.pivots], 1)
+    assert U.mul(M).row_dicts() == hb.rows()
 
 
 def test_howell_preserves_span_random():
@@ -87,9 +86,14 @@ def test_howell_preserves_span_random():
     rng = random.Random(7)
     for _ in range(20):
         M = random_matrix(ring, rng, 4, 4)
-        H, U = howell_form(M)
-        assert U.mul(M) == H
-        assert enumerate_span(ring, to_dense(M), 4) == enumerate_span(ring, to_dense(H), 4)
+        hb = HowellBasis(ring, M, transforms=True)
+        # the transform rows times M are the Howell rows
+        U = Matrix.from_row_dicts(ring, [t for _c, _r, t, _v in hb.pivots],
+                                  M.nrows)
+        assert U.mul(M).row_dicts() == hb.rows()
+        H = Matrix.from_row_dicts(ring, hb.rows(), 4)
+        assert enumerate_span(ring, to_dense(M), 4) == \
+            enumerate_span(ring, to_dense(H), 4)
 
 
 def test_howell_unique_for_span():
@@ -102,9 +106,7 @@ def test_howell_unique_for_span():
         extra = [[(a + b) % 9 for a, b in zip(rows[0], rows[1])],
                  [(2 * a) % 9 for a in rows[2]]]
         M2 = from_rows(ring, rows + extra)
-        H1, _ = howell_form(M)
-        H2, _ = howell_form(M2)
-        assert H1 == H2
+        assert HowellBasis(ring, M).rows() == HowellBasis(ring, M2).rows()
 
 
 def test_howell_idempotent():
@@ -112,9 +114,8 @@ def test_howell_idempotent():
     rng = random.Random(3)
     for _ in range(10):
         M = random_matrix(ring, rng, 3, 4)
-        H, _ = howell_form(M)
-        H2, _ = howell_form(H)
-        assert H == H2
+        H = HowellBasis(ring, M).rows()
+        assert HowellBasis(ring, H, 4).rows() == H
 
 
 def _log_p(size, p):
@@ -401,6 +402,8 @@ def test_kernel_brute_force_N3():
 
 @pytest.mark.parametrize("p,N", [(2, 3), (3, 2)])
 def test_solve_in_rowspace_brute_force(p, N):
+    # HowellBasis.solve finds x with x*M = b exactly when b is in the row
+    # space of M
     ring = ZpN(p, N)
     mod = ring.modulus
     rng = random.Random(7 * p + N)
@@ -411,8 +414,9 @@ def test_solve_in_rowspace_brute_force(p, N):
                     for i in range(nrows) for j in range(ncols)})
         dense = to_dense(M)
         span = enumerate_span(ring, dense, ncols)
+        solver = HowellBasis(ring, M, transforms=True)
         for b in product(range(mod), repeat=ncols):
-            x = solve_in_rowspace(M, {j: v for j, v in enumerate(b) if v})
+            x = solver.solve({j: v for j, v in enumerate(b) if v})
             if b not in span:
                 assert x is None
                 continue
@@ -537,6 +541,7 @@ def test_engine_matches_quadratic_reference(p, N):
         assert kernel(M) == Matrix.from_row_dicts(
             ring, [row for _c, row, _t, _v in ker_pivots], nrows)
         basis = HowellBasis(ring, rows, ncols)
+        solver = HowellBasis(ring, M, transforms=True)
         for _ in range(4):
             vec = _scaled_random_rows(ring, rng, 1, ncols)[0]
             if ref_pivots and rng.random() < 0.5:
@@ -554,7 +559,7 @@ def test_engine_matches_quadratic_reference(p, N):
                 x = {}
                 for idx, q in coords.items():
                     linalg._sub_scaled(x, ref_pivots[idx][2], -q, ring.modulus)
-            assert solve_in_rowspace(M, vec) == x
+            assert solver.solve(vec) == x
 
 
 # -- row storage -------------------------------------------------------------
@@ -593,7 +598,7 @@ def test_row_dicts_are_copies():
 
 
 def test_products_store_validated_rows():
-    # kernel, mul, add, scale and the Howell form build through the trusted
+    # kernel, mul, add, scale, identity and zero build through the trusted
     # constructor: their rows must be those of the validated rebuild, also
     # when the arithmetic cancels entries or scales them to zero
     rng = random.Random(11)
@@ -606,7 +611,7 @@ def test_products_store_validated_rows():
             built = [A.mul(B), A.add(C), A.add(A.scale(-1)),
                      A.scale(ring.p), A.scale(ring.p ** (ring.N - 1)),
                      A.scale(ring.modulus + 2), kernel(A), kernel(B),
-                     *howell_form(A), Matrix.identity(ring, n),
+                     Matrix.identity(ring, n),
                      Matrix.zero(ring, n, k)]
             for M in built:
                 assert_rows_validated(M)

@@ -13,7 +13,7 @@ from crystalcalc.errors import (
     SubstitutionOutsideIdeal,
     VarSpecMismatch,
 )
-from crystalcalc.linalg import HowellBasis, Matrix, kernel, solve_in_rowspace
+from crystalcalc.linalg import HowellBasis, Matrix, kernel
 from crystalcalc.ring import ZpN
 from crystalcalc.series import GeomVar, PDSeries, pd_substitute
 from crystalcalc.simplicial import (
@@ -31,6 +31,8 @@ from crystalcalc.simplicial import (
     verify_simplicial_identities,
 )
 from crystalcalc.smoothlift import catalog
+
+from dense_matrices import assert_rows_validated
 
 
 def tower33(D=5):
@@ -120,6 +122,49 @@ def test_cached_structure_maps_match_full_substitution():
                 assert tower.apply_map(sigma, f) == want, (tower.variant, sigma)
                 checked += 1
     assert checked == 10 * 19 * 2
+
+
+@pytest.mark.parametrize("variant", ["interval", "free"])
+@pytest.mark.parametrize("divided", [False, True])
+@pytest.mark.parametrize("p", [2, 3])
+def test_face_matrix_rows_are_the_faces_of_basis_monomials(variant, divided,
+                                                           p):
+    tower = LevelTower(ZpN(p, 3), 4, divided=divided, variant=variant)
+    for m in range(1, 4):
+        spec = tower.spec(m)
+        for i in range(m + 1):
+            F = tower.face_matrix(m, i)
+            assert (F.nrows, F.ncols) == (len(tower.basis(m)),
+                                          len(tower.basis(m - 1)))
+            assert_rows_validated(F)
+            images = tower.structure_images(SimplexMap.coface(m, i))
+            lower = tower.basis(m - 1)
+            for te, row in zip(tower.basis(m), F.row_dicts()):
+                mono = PDSeries(spec, {(spec.zero_x(), te): 1})
+                face = tower.face(m, i, mono)
+                assert face == pd_substitute(mono, images, tower.spec(m - 1))
+                assert row == {lower.index(t): c
+                               for (_xe, t), c in face.terms.items()}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_multiples_are_coordinates_of_products(p):
+    tower = LevelTower(ZpN(p, 3), 5)
+    for m in range(1, 4):
+        spec = tower.spec(m)
+        basis = tower.basis(m)
+        mixed = tower.var(m, 0).mul(tower.var_or_derived(m, m)) \
+            .add(PDSeries.constant(spec, p))
+        factors = [tower.var_or_derived(m, m), tower.product(m), mixed]
+        for a in factors:
+            room = tower.D - max(sum(te) for (_xe, te) in a.terms)
+            monos = t_monomials(tower.nvars(m), room)
+            rows = tower.multiples(m, a, monos)
+            assert len(rows) == len(monos)
+            for te, row in zip(monos, rows):
+                prod = a.mul(PDSeries(spec, {(spec.zero_x(), te): 1}))
+                assert row == {basis.index(t): c
+                               for (_xe, t), c in prod.terms.items()}
 
 
 def test_structure_map_rejects_a_series_of_another_level():
@@ -390,6 +435,27 @@ def test_boundary_kernel_window_too_small():
     assert rep.inconclusive
 
 
+def test_boundary_kernel_catches_a_corrupted_face(monkeypatch):
+    # face 1 sends T0 to the square of its image; the face matrices, and so
+    # both the product-multiple check and the kernel comparison, see it
+    original = LevelTower.structure_images
+
+    def squared(self, sigma):
+        images = original(self, sigma)
+        if sigma.n == sigma.m - 1 and 1 not in sigma.values:
+            images["T0"] = images["T0"].mul(images["T0"])
+        return images
+
+    monkeypatch.setattr(LevelTower, "structure_images", squared)
+    rep = verify_boundary_kernel(p=3, N=2, D=6, m=1)
+    assert rep.status() == "fail"
+    assert rep.witness == "product multiple 1 has nonzero face 1"
+    rep = verify_boundary_kernel(p=3, N=2, D=6, m=2)
+    assert rep.status() == "fail"
+    assert rep.witness == \
+        "kernel element at monomial (1, 5) is not a product multiple"
+
+
 # -- regular sequences ------------------------------------------------------
 
 
@@ -432,7 +498,7 @@ def _buffered_regular_sequence(p, N, D, m, perm, boundary_quotient=False):
     if boundary_quotient:
         prod = tower.product(m)
         for te in t_monomials(tower.nvars(m), D - (m + 1)):
-            row = tower.series_to_vector(m, prod.mul(mono(te)), index)
+            row = tower.series_to_vector(m, prod.mul(mono(te)))
             prev_full.append(row)
             if sum(te) + m + 1 <= D - 1:
                 prev_low.append(dict(row))
@@ -443,7 +509,7 @@ def _buffered_regular_sequence(p, N, D, m, perm, boundary_quotient=False):
         entries = {}
         for r, te in enumerate(basis_in):
             img = a.mul(mono(te))
-            for j, v in tower.series_to_vector(m, img, index).items():
+            for j, v in tower.series_to_vector(m, img).items():
                 entries[(r, j)] = v
         for s, row in enumerate(prev_full):
             for j, v in row.items():
@@ -461,9 +527,9 @@ def _buffered_regular_sequence(p, N, D, m, perm, boundary_quotient=False):
                                         "boundary_quotient": boundary_quotient}
         for te in basis_in:
             img = a.mul(mono(te))
-            prev_full.append(tower.series_to_vector(m, img, index))
+            prev_full.append(tower.series_to_vector(m, img))
             if sum(te) <= D - 2:
-                prev_low.append(tower.series_to_vector(m, img, index))
+                prev_low.append(tower.series_to_vector(m, img))
     return True, "", {"m": m, "perm": tuple(perm),
                       "boundary_quotient": boundary_quotient}
 
@@ -548,8 +614,8 @@ def product_multiple_defect(tw, m, diff):
     rows = []
     for te in t_monomials(tw.nvars(m), tw.D - (m + 1)):
         mu = PDSeries(spec, {(spec.zero_x(), te): 1})
-        rows.append(tw.series_to_vector(m, prod.mul(mu), basis_idx))
-    vec = tw.series_to_vector(m, diff, basis_idx)
+        rows.append(tw.series_to_vector(m, prod.mul(mu)))
+    vec = tw.series_to_vector(m, diff)
     for k in range(tw.ring.N + 1):
         scale = tw.ring.p ** (tw.ring.N - k)
         enlarged = rows + [{j: scale} for j in range(len(basis_idx))]
@@ -597,7 +663,7 @@ def test_fill_rejects_wrong_base():
 def _fresh_division(tower, m, g):
     """divide_by_variable_product rebuilt from scratch: the product
     multiples, and below precision N the rows p^prec * e_j, as a new matrix;
-    one solve_in_rowspace per x-monomial, keeping the product coordinates."""
+    one transform solve per x-monomial, keeping the product coordinates."""
     spec = tower.spec(m)
     prod = PDSeries.one(spec)
     for j in range(m + 1):
@@ -609,13 +675,13 @@ def _fresh_division(tower, m, g):
             for te in monos]
     if g.prec < tower.ring.N:
         rows += [{j: tower.ring.p ** g.prec} for j in range(len(index))]
-    M = Matrix.from_row_dicts(tower.ring, rows, len(index))
+    solver = HowellBasis(tower.ring, rows, len(index), transforms=True)
     by_xe = {}
     for (xe, te), c in g.terms.items():
         by_xe.setdefault(xe, {})[index[te]] = c
     q = {}
     for xe, vec in sorted(by_xe.items()):
-        x = solve_in_rowspace(M, vec)
+        x = solver.solve(vec)
         if x is None:
             return None
         q.update({(xe, monos[k]): v for k, v in x.items() if k < len(monos)})
@@ -657,7 +723,7 @@ def test_product_division_matches_a_fresh_solve():
                 assert _fresh_division(tower, m, bad) is None
     assert outcomes[True] and outcomes[False], outcomes
     # towers of different D keep their own prepared row spaces
-    spaces = [t._product_space(2)[2] for t in towers[:2]]
+    spaces = [t._product_space(2)[1] for t in towers[:2]]
     assert spaces[0] is not spaces[1]
     assert len(spaces[0].pivots) != len(spaces[1].pivots)
 
@@ -670,8 +736,8 @@ def test_product_division_below_full_precision():
     assert q is not None and q.prec == 1
     assert tower.product(2).mul(q) == g
     # every precision keeps its own space; precision N is the plain one
-    spaces = {prec: tower._product_space(2, prec)[2] for prec in (1, 2, 3)}
-    assert spaces[3] is tower._product_space(2)[2]
+    spaces = {prec: tower._product_space(2, prec)[1] for prec in (1, 2, 3)}
+    assert spaces[3] is tower._product_space(2)[1]
     assert len({id(s) for s in spaces.values()}) == 3
     # random multiples at every precision below N
     rng = random.Random(5)
