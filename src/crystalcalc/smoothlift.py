@@ -166,18 +166,20 @@ class Presentation:
                     pending.pop(key, None)
         return PDSeries(spec, out, f.prec)
 
+    def normal_monomials(self, E):
+        """The normal x-monomials of the window E, sorted: exponents in
+        [-E, E] for a Laurent generator and [0, E] otherwise."""
+        xes = [()]
+        for g in self.generators:
+            r = range(-E if g.kind == "laurent" else 0, E + 1)
+            xes = [xe + (e,) for xe in xes for e in r]
+        return sorted(xe for xe in xes if self.is_normal_monomial(xe))
+
     def quotient_basis(self, spec):
         """Normal-form monomials of the carrier, T-part included."""
-        ranges = []
-        for g in self.generators:
-            lo = -spec.E if g.kind == "laurent" else 0
-            ranges.append(range(lo, spec.E + 1))
-        xes = [()]
-        for r in ranges:
-            xes = [xe + (e,) for xe in xes for e in r]
-        xes = [xe for xe in xes if self.is_normal_monomial(xe)]
         tes = t_monomials(len(spec.pd), spec.D)
-        return sorted((xe, te) for xe in xes for te in tes)
+        return sorted((xe, te) for xe in self.normal_monomials(spec.E)
+                      for te in tes)
 
     def quotient_inverse(self, f: PDSeries) -> PDSeries:
         """Inverse of f in the windowed quotient, via a linear solve."""

@@ -150,6 +150,77 @@ def test_poincare_small(name, m):
     assert rep.passed, rep.witness
 
 
+def _divisors_agree(A, m, D):
+    """The elimination comparison: in every certified cell and form degree,
+    the level-m divisors equal the level-0 ones (zero above level 0's top
+    degree)."""
+    col = DeRhamComplex(PFSmObject(A, m, D))
+    base = DeRhamComplex(PFSmObject(A, 0, D))
+    empty = ElementaryDivisors(A.ring.p, A.ring.N, [])
+    return all(
+        col.cohomology(q, g) == (base.cohomology(q, g)
+                                 if q <= base.max_form_degree() else empty)
+        for g in graded_cells(A, D) for q in range(col.max_form_degree() + 1))
+
+
+@pytest.mark.parametrize("name,ring,E,D", [
+    ("point", ZpN(2, 3), 0, 4),
+    ("a1", ZpN(3, 2), 4, 3),
+    ("a1", ZpN(2, 3), 4, 3),
+    ("gm", ZpN(3, 2), 3, 3),
+    ("ell-3-1-2", ZpN(3, 2), 3, 2),
+    ("gm-pair", ZpN(3, 2), 3, 2),
+])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_poincare_verdict_matches_elimination_oracle(name, ring, E, D, m):
+    A = _algebra(name, ring, E)
+    rep = poincare_check(A, m, D)
+    assert rep.passed == _divisors_agree(A, m, D), rep.witness
+
+
+def test_poincare_fails_on_scaled_interval_free_row(monkeypatch):
+    # d(x) at level 1 times p: the contraction never reads that row, but the
+    # interval-free subcomplex is no longer the level-0 complex
+    A = catalog("a1", ZpN(3, 2), E=4)
+    original = DeRhamComplex.dmat
+
+    def dmat(self, q, g=None):
+        M = original(self, q, g)
+        if (self.npd, q, g) != (1, 0, 1):
+            return M
+        rows = M.row_dicts()
+        r = self.basis(0, 1).index(FormBasis((1,), (0,), (), ()))
+        rows[r] = {j: 3 * v for j, v in rows[r].items()}
+        return Matrix.from_row_dicts(M.ring, rows, M.ncols)
+
+    monkeypatch.setattr(DeRhamComplex, "dmat", dmat)
+    assert DeRhamComplex(PFSmObject(A, 1, 4)).verify_contraction(1).passed
+    assert not _divisors_agree(A, 1, 4)
+    rep = poincare_check(A, 1, D=4)
+    assert not rep.passed
+    failed = [k for k, v in rep.details.items() if v == "fail"]
+    assert [k.split(":")[1] for k in failed] == ["poincare-identification"]
+    assert rep.witness == ("d on the interval-free 0-forms is not level 0's "
+                           "(level 1, graded 1)")
+
+
+def test_poincare_fails_when_level0_basis_misses_a_form(monkeypatch):
+    # level 0 without the form x: x at level 1 is interval-free but no
+    # level-0 form goes to it
+    A = catalog("a1", ZpN(3, 2), E=4)
+    original = DeRhamComplex.basis
+
+    def basis(self, q, g=None):
+        out = original(self, q, g)
+        return out[1:] if (self.npd, q, g) == (0, 0, 1) else out
+
+    monkeypatch.setattr(DeRhamComplex, "basis", basis)
+    assert not _divisors_agree(A, 1, 4)
+    rep = poincare_check(A, 1, D=4)
+    assert rep.witness == ("the interval-free 0-forms are not level 0's "
+                           "basis (level 1, graded 1)")
+
+
 # -- graded windows -------------------------------------------------------------
 
 
@@ -178,6 +249,40 @@ def test_base_change(name, m):
     A = catalog(name, R33, E=4)
     rep = base_change_check(A, m, D=3)
     assert rep.passed, rep.witness
+
+
+def test_base_change_fails_on_unit_change_of_one_entry(monkeypatch):
+    # the precision-N complex only: +1 on one entry of d_0
+    A = catalog("gm", ZpN(3, 2), E=4)
+    original = DeRhamComplex.dmat
+
+    def dmat(self, q, g=None):
+        M = original(self, q, g)
+        if (self.spec.ring.N, q, g) != (2, 0, None):
+            return M
+        rows = M.row_dicts()
+        r, j = next((r, min(row)) for r, row in enumerate(rows) if row)
+        rows[r][j] += 1
+        return Matrix.from_row_dicts(M.ring, rows, M.ncols)
+
+    monkeypatch.setattr(DeRhamComplex, "dmat", dmat)
+    rep = base_change_check(A, 1, D=3)
+    assert not rep.passed
+    assert rep.witness == "differential mismatch mod p in degree 0"
+
+
+def test_base_change_fails_on_dropped_basis_label(monkeypatch):
+    A = catalog("gm", ZpN(3, 2), E=4)
+    original = DeRhamComplex.basis
+
+    def basis(self, q, g=None):
+        out = original(self, q, g)
+        return out[1:] if (self.spec.ring.N, q) == (2, 0) else out
+
+    monkeypatch.setattr(DeRhamComplex, "basis", basis)
+    rep = base_change_check(A, 1, D=3)
+    assert not rep.passed
+    assert rep.witness == "basis mismatch in form degree 0"
 
 
 # -- cech descent ------------------------------------------------------------------
