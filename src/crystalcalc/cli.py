@@ -2,7 +2,7 @@
 
 Verbs: verify-simplicial, lift, homotopy, dr, cris, compare, known.
 Exit codes: 0 on pass, 1 on a mathematical failure (the report carries a
-witness), 2 on usage or configuration errors.
+witness), 2 on usage or configuration errors and on unreadable input files.
 
 Reports and presentation/morphism inputs use a line-based text format with
 the versioned header ``schema: crystalcalc/1``; outputs are deterministic
@@ -41,7 +41,6 @@ from .smoothlift import (
     catalog,
     lift_algebra,
     lift_morphism,
-    reduce_presentation,
 )
 
 SCHEMA = "crystalcalc/1"
@@ -229,7 +228,7 @@ def run_verify_simplicial(args):
 def run_lift(args):
     ring = ZpN(args.p, args.N)
     A = _load_algebra_arg(args, ring)
-    Abar = reduce_presentation(A)
+    Abar = A.at_precision(1)
     lifted = lift_algebra(Abar, args.N)
     sbar = Abar.carrier()
     phibar = {g.name: PDSeries.geom_var(sbar, g.name) for g in Abar.generators}
@@ -438,7 +437,7 @@ def main(argv=None) -> int:
         write_report(args, args.verb, "fail", [],
                      witness=f"{type(exc).__name__}: {exc}")
         return 1
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         parser.exit(2, f"usage error: {exc}\n")
 
 

@@ -24,10 +24,9 @@ from typing import NamedTuple
 from .errors import CapsTooSmall
 from .linalg import ElementaryDivisors, Matrix, complex_cohomology
 from .reports import CheckReport, merge_reports
-from .ring import ZpN
 from .series import PDSeries, VarSpec
 from .simplicial import t_monomials
-from .smoothlift import Presentation, _adjugate, _det, evaluate_poly
+from .smoothlift import Presentation, evaluate_poly
 
 
 class FormBasis(NamedTuple):
@@ -125,32 +124,18 @@ class DeRhamComplex:
         """
         if self._frame is None:
             pres = self.base
-            if not pres.relations:
-                self._frame = {}
-            else:
-                spec0 = pres.carrier()
-                images = {g.name: PDSeries.geom_var(spec0, g.name)
-                          for g in pres.generators}
-                jac = pres.jacobian_polys()
-                cols = [pres.gen_names.index(w) for w in pres.witness]
-                entries = [[pres.reduce(evaluate_poly(jac[i][j], pres, images, spec0))
-                            for j in cols] for i in range(len(pres.relations))]
-                det = pres.reduce(_det(entries, spec0))
-                det_inv = pres.quotient_inverse(det)
-                adj = _adjugate(entries, spec0)
-                frame = {}
-                for si, s_col in enumerate(cols):
-                    frame[s_col] = {}
-                    for v in self.free_geom:
-                        acc = PDSeries.zero(spec0)
-                        for i in range(len(pres.relations)):
-                            coeff = pres.reduce(
-                                evaluate_poly(jac[i][v], pres, images, spec0))
-                            acc = acc.add(adj[si][i].mul(coeff))
-                        val = pres.reduce(acc.mul(det_inv)).neg()
-                        if not val.is_zero():
-                            frame[s_col][v] = val
-                self._frame = frame
+            spec0 = pres.carrier()
+            images = {g.name: PDSeries.geom_var(spec0, g.name)
+                      for g in pres.generators}
+            jac = pres.jacobian_polys()
+            columns = [[evaluate_poly(row[v], pres, images, spec0)
+                        for row in jac] for v in self.free_geom]
+            solved = pres.witness_solve(pres, images, spec0, columns)
+            self._frame = {
+                pres.gen_names.index(w): {
+                    v: sol[si] for v, sol in zip(self.free_geom, solved)
+                    if not sol[si].is_zero()}
+                for si, w in enumerate(pres.witness)}
         return self._frame
 
     def _distribute(self, series, J, K, sign, target_index, row, weight_cap,
@@ -448,7 +433,7 @@ def base_change_check(A: Presentation, m: int, D: int) -> CheckReport:
     p to the same complex built over Z/p, basis for basis."""
     name = f"base-change-{A.name}-m{m}"
     cx = DeRhamComplex(PFSmObject(A, m, D))
-    small = DeRhamComplex(PFSmObject(_change_precision(A, 1), m, D))
+    small = DeRhamComplex(PFSmObject(A.at_precision(1), m, D))
     p = A.ring.p
     for q in range(cx.max_form_degree() + 1):
         if cx.basis(q) != small.basis(q):
@@ -466,9 +451,3 @@ def base_change_check(A: Presentation, m: int, D: int) -> CheckReport:
     return merge_reports(name, [
         CheckReport("mod-p-identification", True, details={"m": m})])
 
-
-def _change_precision(A: Presentation, N: int) -> Presentation:
-    ring = ZpN(A.ring.p, N)
-    rels = [dict(rel) for rel in A.relations]
-    return Presentation(A.name, ring, A.generators, rels, A.witness,
-                        A.leads, A.E)

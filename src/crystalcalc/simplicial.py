@@ -244,10 +244,9 @@ class LevelTower:
     def _product_space(self, m, prec=None):
         """The row space of the product multiples at level m, cached.
 
-        Returns (monomials, space): the rows are the product times T^te for
-        each listed monomial te (total degree <= D - (m+1), so no product
-        truncates), over ``basis(m)``; ``space`` is their Howell form with
-        transforms.  At a precision prec < N the rows p^prec * e_j follow,
+        Returns (monomials, space): ``space`` is the Howell form, with
+        transforms, of the ``product_multiples(m)`` rows over ``basis(m)``.
+        At a precision prec < N the rows p^prec * e_j follow,
         one per basis column, so that ``space`` solves modulo p^prec;
         coordinates past the listed monomials belong to those rows.
         """
@@ -255,8 +254,7 @@ class LevelTower:
         prec = N if prec is None else prec
         entry = self._product_spaces.get((m, prec))
         if entry is None:
-            monos = t_monomials(self.nvars(m), self.D - (m + 1))
-            rows = self.multiples(m, self.product(m), monos)
+            monos, rows = self.product_multiples(m)
             ncols = len(self._index(m))
             if prec < N:
                 rows += [{j: self.ring.p ** prec} for j in range(ncols)]
@@ -339,6 +337,12 @@ class LevelTower:
             img = self.t_image(sigma, te)
             rows.append({index[t]: c for (_xe, t), c in img.terms.items()})
         return Matrix._trusted(self.ring, rows, len(index))
+
+    def product_multiples(self, m):
+        """The product T_0 * ... * T_m times each monomial T^te of degree
+        <= D - (m+1), so that none truncates: (monomials, coordinate rows)."""
+        monos = t_monomials(self.nvars(m), self.D - (m + 1))
+        return monos, self.multiples(m, self.product(m), monos)
 
     def multiples(self, m, a: PDSeries, monos):
         """The coordinate rows of a * T^te at level m, one per te in monos.
@@ -589,9 +593,7 @@ def verify_boundary_kernel(p: int, N: int, D: int, m: int) -> CheckReport:
                          [("m", i, tower.face_matrix(m, i), 1)
                           for i in range(m + 1)])
 
-    # exact product multiples (degrees small enough that nothing truncates)
-    monos = t_monomials(tower.nvars(m), D - (m + 1))
-    ideal_rows = tower.multiples(m, tower.product(m), monos)
+    monos, ideal_rows = tower.product_multiples(m)
     # every face of a product multiple must vanish exactly
     products = Matrix._trusted(buffered, ideal_rows, ncols).mul(faces)
     for te, row in zip(monos, products._rows):
@@ -658,8 +660,7 @@ def check_regular_sequence(p: int, N: int, D: int, m: int, perm,
     prev_rows_full = []   # span of previous elements, degree <= D
     prev_rows_low = []    # same but degree <= D-1 (for the membership target)
     if boundary_quotient:
-        monos = t_monomials(tower.nvars(m), D - (m + 1))
-        prev_rows_full = tower.multiples(m, tower.product(m), monos)
+        monos, prev_rows_full = tower.product_multiples(m)
         prev_rows_low = [row for te, row in zip(monos, prev_rows_full)
                          if sum(te) + m + 1 <= D - 1]
 

@@ -100,6 +100,14 @@ class Presentation:
     def __repr__(self):
         return f"Presentation({self.name}, p={self.ring.p}, N={self.ring.N})"
 
+    def at_precision(self, N) -> "Presentation":
+        """The same presentation over Z/p^N: coefficients are read modulo
+        p^N (at N = 1 those divisible by p drop out) and the rewrite rules
+        are derived again from them."""
+        return Presentation(self.name, self.ring.with_precision(N),
+                            self.generators, self.relations, self.witness,
+                            self.leads, self.E)
+
     # -- carriers -------------------------------------------------------
 
     def carrier(self, D=0, level=0) -> VarSpec:
@@ -243,25 +251,45 @@ class Presentation:
             out.append(row)
         return out
 
-    def witness_determinant(self, spec, images=None) -> PDSeries:
-        """det of the witness minor of the Jacobian, evaluated at images."""
-        c = len(self.relations)
-        if c == 0:
-            return PDSeries.one(spec)
-        if images is None:
-            images = {g.name: PDSeries.geom_var(spec, g.name)
-                      for g in self.generators}
+    def witness_minor(self, target, images, spec):
+        """The witness minor W of the Jacobian at generator images.
+
+        The relations of this presentation are evaluated at ``images`` in
+        target's carrier ``spec``; returns W's entries, one row per relation,
+        and det W, both reduced in target's quotient.
+        """
         cols = [self.gen_names.index(w) for w in self.witness]
-        jac = self.jacobian_polys()
-        entries = [[evaluate_poly(jac[i][j], self, images, spec)
-                    for j in cols] for i in range(c)]
-        return self.reduce(_det(entries, spec))
+        entries = [[evaluate_poly(row[j], target, images, spec) for j in cols]
+                   for row in self.jacobian_polys()]
+        return entries, target.reduce(_det(entries, spec))
+
+    def witness_solve(self, target, images, spec, vectors, prec=None):
+        """-W^-1 v for each vector v, W the witness minor at images.
+
+        Each v has one series per relation; its solution has one per witness
+        generator, computed as -(adj W . v) * (det W)^-1 in target's quotient.
+        """
+        entries, det = self.witness_minor(target, images, spec)
+        det_inv = target.quotient_inverse(det)
+        adj = _adjugate(entries, spec)
+        out = []
+        for vec in vectors:
+            sol = []
+            for adj_row in adj:
+                acc = PDSeries.zero(spec, prec)
+                for a, v in zip(adj_row, vec):
+                    acc = acc.add(a.mul(v))
+                sol.append(target.reduce(acc.mul(det_inv)).neg())
+            out.append(sol)
+        return out
 
     def check_witness(self):
         """The witness minor must be a unit in the mod-p quotient."""
-        small = reduce_presentation(self)
+        small = self.at_precision(1)
         spec = small.carrier()
-        det = small.witness_determinant(spec)
+        images = {g.name: PDSeries.geom_var(spec, g.name)
+                  for g in small.generators}
+        _entries, det = small.witness_minor(small, images, spec)
         try:
             small.require_unit(det)
         except NotInvertible as exc:
@@ -285,9 +313,6 @@ def _det(entries, spec):
         return PDSeries.one(spec)
     if n == 1:
         return entries[0][0]
-    if n == 2:
-        return entries[0][0].mul(entries[1][1]).sub(
-            entries[0][1].mul(entries[1][0]))
     acc = PDSeries.zero(spec)
     for j in range(n):
         minor = [[entries[r][c] for c in range(n) if c != j]
@@ -299,8 +324,6 @@ def _det(entries, spec):
 
 def _adjugate(entries, spec):
     n = len(entries)
-    if n == 1:
-        return [[PDSeries.one(spec)]]
     adj = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -326,11 +349,7 @@ def evaluate_poly(poly: dict, pres: Presentation, images: dict, spec) -> PDSerie
             if e >= 0:
                 val = base.power(e)
             else:
-                try:
-                    inv = base.inverse()
-                except NotInvertible:
-                    inv = pres.quotient_inverse(base)
-                val = inv.power(-e)
+                val = pres.quotient_inverse(base).power(-e)
             pow_cache[key] = pres.reduce(val)
         return pow_cache[key]
 
@@ -343,13 +362,11 @@ def evaluate_poly(poly: dict, pres: Presentation, images: dict, spec) -> PDSerie
     return pres.reduce(out)
 
 
-def reduce_presentation(A: Presentation) -> Presentation:
-    """The same presentation with coefficients reduced mod p."""
-    small = ZpN(A.ring.p, 1)
-    rels = [{xe: c % small.p for xe, c in rel.items() if c % small.p}
-            for rel in A.relations]
-    return Presentation(A.name, small, A.generators, rels, A.witness,
-                        A.leads, A.E)
+def relation_residuals(source: Presentation, target: Presentation,
+                       images: dict, spec) -> list:
+    """Each relation of source evaluated at images, in target's quotient."""
+    return [evaluate_poly(rel, target, images, spec)
+            for rel in source.relations]
 
 
 def lift_algebra(Abar: Presentation, N: int) -> Presentation:
@@ -362,10 +379,7 @@ def lift_algebra(Abar: Presentation, N: int) -> Presentation:
     """
     if Abar.ring.N != 1:
         raise ValueError("lift_algebra expects a mod-p presentation")
-    ring = ZpN(Abar.ring.p, N)
-    lifted = Presentation(Abar.name, ring, Abar.generators,
-                          [dict(rel) for rel in Abar.relations],
-                          Abar.witness, Abar.leads, Abar.E)
+    lifted = Abar.at_precision(N)
     lifted.check_witness()
     return lifted
 
@@ -411,10 +425,7 @@ class Morphism:
 
     def validate(self):
         """Every source relation must map to zero within precision and caps."""
-        for idx in range(len(self.source.relations)):
-            val = evaluate_poly(self.source.relations[idx], self.target,
-                                self.images, self.spec)
-            val = self.target.reduce(val)
+        for idx, val in enumerate(self.residuals()):
             if not val.reduce_precision(self.prec).is_zero():
                 raise PrecisionExhausted(
                     f"relation {idx} of {self.source.name} not preserved",
@@ -425,9 +436,8 @@ class Morphism:
         return self
 
     def residuals(self):
-        return [self.target.reduce(
-                    evaluate_poly(rel, self.target, self.images, self.spec))
-                for rel in self.source.relations]
+        return relation_residuals(self.source, self.target, self.images,
+                                  self.spec)
 
     def face(self, i) -> "Morphism":
         tower = self.target.mapping_tower(self.D)
@@ -472,21 +482,15 @@ def newton_correct(phi: Morphism) -> Morphism:
 
     Corrections are multiples of the current residuals, so they vanish
     wherever the residuals do (mod p, on every interval face); boundary data
-    survives the iteration exactly.
+    survives the iteration exactly.  Like phi, the result is not validated:
+    its residuals are zero, and every caller validates it as a whole.
     """
     src, tgt = phi.source, phi.target
-    c = len(src.relations)
-    if c == 0:
+    if not src.relations:
         return phi
     spec = phi.spec
-    cols = [src.gen_names.index(w) for w in src.witness]
-    jac = src.jacobian_polys()
     images = dict(phi.images)
     steps = tgt.ring.N.bit_length() + phi.D + 4
-
-    def residuals(imgs):
-        return [tgt.reduce(evaluate_poly(src.relations[i], tgt, imgs, spec))
-                for i in range(c)]
 
     def order(series_list):
         # combined p-adic plus T-adic order; caps count as fully converged
@@ -497,27 +501,16 @@ def newton_correct(phi: Morphism) -> Morphism:
                 best = o if best is None else min(best, o)
         return best
 
-    res = residuals(images)
+    res = relation_residuals(src, tgt, images, spec)
     prev_order = order(res)
     for _ in range(steps):
         if all(r.is_zero() for r in res):
             return Morphism(src, tgt, images, level=phi.level, D=phi.D,
-                            prec=phi.prec)
-        entries = [[tgt.reduce(evaluate_poly(jac[i][j], tgt, images, spec))
-                    for j in cols] for i in range(c)]
-        det = tgt.reduce(_det(entries, spec))
-        det_inv = tgt.quotient_inverse(det)
-        adj = _adjugate(entries, spec)
-        deltas = []
-        for j in range(c):
-            acc = PDSeries.zero(spec, phi.prec)
-            for i in range(c):
-                acc = acc.add(adj[j][i].mul(res[i]))
-            deltas.append(tgt.reduce(acc.mul(det_inv)).neg())
-        for j, col in enumerate(cols):
-            name = src.gen_names[col]
-            images[name] = images[name].add(deltas[j])
-        res = residuals(images)
+                            prec=phi.prec, validate=False)
+        [deltas] = src.witness_solve(tgt, images, spec, [res], prec=phi.prec)
+        for w, delta in zip(src.witness, deltas):
+            images[w] = images[w].add(delta)
+        res = relation_residuals(src, tgt, images, spec)
         new_order = order(res)
         if new_order is not None and prev_order is not None \
                 and new_order <= prev_order:
@@ -544,7 +537,7 @@ def lift_morphism(phibar_images: dict, A: Presentation, B: Presentation,
     else:
         images = dict(seeds)
     start = Morphism(A, B, images, level=0, validate=False)
-    small = reduce_presentation(B)
+    small = B.at_precision(1)
     small_spec = small.carrier()
     for name, img in phibar_images.items():
         got = start.images[name].change_ring(small.ring)
@@ -599,11 +592,12 @@ def build_homotopy(phi1: Morphism, phi2: Morphism, D: int) -> Homotopy:
         h = Homotopy(src, tgt, corrected.images, level=1, D=D,
                      prec=corrected.prec, validate=False)
     h.validate()
+    at_zero, at_pi = h.at_zero.images, h.at_pi.images
     for name in sorted(phi1.images):
-        if h.at_zero.images[name] != phi1.images[name]:
+        if at_zero[name] != phi1.images[name]:
             raise PrecisionExhausted(f"endpoint T=0 mismatch on {name}",
                                      witness=name)
-        if h.at_pi.images[name] != phi2.images[name]:
+        if at_pi[name] != phi2.images[name]:
             raise PrecisionExhausted(f"endpoint T=p mismatch on {name}",
                                      witness=name)
     return h
@@ -613,7 +607,8 @@ def fill_mapping_boundary(m: int, faces, base: dict, D: int) -> Morphism:
     """An m-simplex of the mapping space with the given boundary.
 
     ``faces`` are m+1 compatible (m-1)-simplices, ``base`` the common mod-p
-    reduction (a dict of reduction series).  Generator images are filled
+    reduction (a dict of reduction series); ``fill_boundary`` checks both,
+    generator by generator.  Generator images are filled
     additively; relation-bearing sources are then Newton corrected through
     the interval layers, which fixes the boundary pointwise.
     """
@@ -623,17 +618,6 @@ def fill_mapping_boundary(m: int, faces, base: dict, D: int) -> Morphism:
         raise IncompatibleFaces(f"expected {m+1} faces, got {len(faces)}")
     first = faces[0]
     src, tgt = first.source, first.target
-    if m >= 2:
-        for j in range(m + 1):
-            for i in range(j):
-                if faces[j].face(i).images != faces[i].face(j - 1).images:
-                    raise IncompatibleFaces(
-                        f"faces {i} and {j} are not simplicially compatible",
-                        witness=(i, j))
-    for i, fc in enumerate(faces):
-        if fc.reduction() != base:
-            raise IncompatibleFaces(
-                f"face {i} does not reduce to the base morphism", witness=i)
     tower = tgt.mapping_tower(D)
     images = {}
     for name in sorted(first.images):
@@ -642,12 +626,13 @@ def fill_mapping_boundary(m: int, faces, base: dict, D: int) -> Morphism:
     filler = Morphism(src, tgt, images, level=m, D=D, prec=first.prec,
                       validate=False)
     if src.relations:
+        # fill_boundary matched each generator's faces; Newton may move them
         filler = newton_correct(filler)
+        for i in range(m + 1):
+            if filler.face(i).images != faces[i].images:
+                raise PrecisionExhausted(f"face {i} not matched by the filler",
+                                         witness=i)
     filler.validate()
-    for i in range(m + 1):
-        if filler.face(i).images != faces[i].images:
-            raise PrecisionExhausted(f"face {i} not matched by the filler",
-                                     witness=i)
     return filler
 
 

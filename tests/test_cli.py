@@ -203,6 +203,24 @@ def test_homotopy_with_morphism_files(tmp_path):
     assert code == 0
 
 
+def test_algebra_that_is_a_directory_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lift", "--algebra", str(tmp_path), "--p", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_missing_morphism_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.mor")
+    with pytest.raises(SystemExit) as exc:
+        main(["homotopy", "--algebra", "gm", "--p", "3", "--N", "3",
+              "--morphism1", missing, "--morphism2", missing])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
 def test_mathematical_failure_exits_1(tmp_path):
     # homotopy between incongruent morphisms is a mathematical failure
     m1 = tmp_path / "m1.mor"

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from crystalcalc.derham import DeRhamComplex, PFSmObject
 from crystalcalc.errors import (
     IncompatibleFaces,
     NotCongruent,
@@ -19,15 +20,52 @@ from crystalcalc.smoothlift import (
     Presentation,
     build_homotopy,
     catalog,
+    evaluate_poly,
     fill_mapping_boundary,
     lift_algebra,
     lift_morphism,
-    reduce_presentation,
     unit_pair_presentation,
 )
 
 
 R33 = ZpN(3, 3)
+
+
+def two_unit_pairs(ring, E=3):
+    """x*y = 1 and z*w = 1 with witness y, w: a 2 x 2 witness minor."""
+    gens = (("x", "poly", 1), ("y", "poly", -1),
+            ("z", "poly", 1), ("w", "poly", -1))
+    pres = Presentation("gm-pairs", ring, gens,
+                        relations=[{(1, 1, 0, 0): 1, (0, 0, 0, 0): -1},
+                                   {(0, 0, 1, 1): 1, (0, 0, 0, 0): -1}],
+                        witness=("y", "w"), leads=[(1, 1, 0, 0), (0, 0, 1, 1)],
+                        E=E)
+    pres.check_witness()
+    return pres
+
+
+def chained_unit_pairs(ring, E=3):
+    """x*y = 1 and z*w = y with witness y, w: the minor [[x, 0], [-1, z]]
+    has an off-diagonal entry."""
+    gens = (("x", "poly", 1), ("y", "poly", -1),
+            ("z", "poly", 0), ("w", "poly", -1))
+    pres = Presentation("gm-chain", ring, gens,
+                        relations=[{(1, 1, 0, 0): 1, (0, 0, 0, 0): -1},
+                                   {(0, 0, 1, 1): 1, (0, 1, 0, 0): -1}],
+                        witness=("y", "w"), leads=[(1, 1, 0, 0), (0, 0, 1, 1)],
+                        E=E)
+    pres.check_witness()
+    return pres
+
+
+WITNESS_CASES = pytest.mark.parametrize(
+    "make", [lambda ring: catalog("ell-3-1-2", ring), unit_pair_presentation,
+             two_unit_pairs, chained_unit_pairs],
+    ids=["ell-3-1-2", "gm-pair", "gm-pairs", "gm-chain"])
+
+
+def generator_images(A, spec):
+    return {g.name: PDSeries.geom_var(spec, g.name) for g in A.generators}
 
 
 def identity_morphism(A, D=0, level=0):
@@ -78,6 +116,71 @@ def test_witness_failure_detected():
                      relations=[{(0, 2): 1, (1, 0): -1}],
                      witness=("y",), leads=[(0, 2)],
                      E=5).check_witness()
+
+
+def test_at_precision_reads_coefficients_mod_p_power():
+    A = Presentation("c", R33, (("x", "poly", 1), ("y", "poly", 1)),
+                     relations=[{(0, 2): 1, (1, 0): 3, (0, 0): -2}],
+                     witness=("y",), leads=[(0, 2)], E=4)
+    small = A.at_precision(1)
+    assert small.ring == ZpN(3, 1)
+    # 3x is divisible by p and drops out; -2 is the residue 1, so y^2 = -1
+    assert small.relations == ({(0, 2): 1, (0, 0): 1},)
+    spec = small.carrier()
+    y = PDSeries.geom_var(spec, "y")
+    assert small.reduce(y.power(2)) == PDSeries.constant(spec, 2)
+    assert A.at_precision(2).relations == ({(0, 2): 1, (1, 0): 3,
+                                            (0, 0): 7},)
+
+
+# -- witness-minor solve -----------------------------------------------------
+
+
+def _witness_minor_oracle(A, images, spec):
+    cols = [A.gen_names.index(w) for w in A.witness]
+    return [[evaluate_poly(row[j], A, images, spec) for j in cols]
+            for row in A.jacobian_polys()]
+
+
+@WITNESS_CASES
+def test_witness_solve_inverts_the_minor(make):
+    A = make(R33)
+    spec = A.carrier()
+    images = generator_images(A, spec)
+    gens = list(images.values())
+    c = len(A.relations)
+    vectors = [[PDSeries.constant(spec, 1 + i) for i in range(c)],
+               [gens[i] for i in range(c)],
+               [A.reduce(gens[-1 - i].mul(gens[0]).add(
+                   PDSeries.constant(spec, 3))) for i in range(c)]]
+    W = _witness_minor_oracle(A, images, spec)
+    solved = A.witness_solve(A, images, spec, vectors)
+    assert len(solved) == len(vectors)
+    for vec, sol in zip(vectors, solved):
+        for i in range(c):
+            acc = vec[i]
+            for j in range(c):
+                acc = acc.add(W[i][j].mul(sol[j]))
+            assert A.reduce(acc).is_zero(), (A.name, i, vec)
+
+
+@WITNESS_CASES
+def test_frame_solves_the_relation_differentials(make):
+    # each relation f has df = 0: df/dx_v + sum_s df/dx_s frame[s][v] = 0
+    A = make(R33)
+    cx = DeRhamComplex(PFSmObject(A, 0, D=0))
+    frame = cx.frame()
+    assert sorted(frame) == sorted(A.gen_names.index(w) for w in A.witness)
+    spec = A.carrier()
+    images = generator_images(A, spec)
+    for row in A.jacobian_polys():
+        for v in cx.free_geom:
+            acc = evaluate_poly(row[v], A, images, spec)
+            for s, coeffs in frame.items():
+                if v in coeffs:
+                    acc = acc.add(evaluate_poly(row[s], A, images, spec)
+                                  .mul(coeffs[v]))
+            assert A.reduce(acc).is_zero(), (A.name, v)
 
 
 # -- quotient arithmetic ---------------------------------------------------
@@ -172,7 +275,7 @@ def test_ell_reduce_power():
 
 def test_lift_identity_on_gm():
     A = catalog("gm", R33)
-    Abar = reduce_presentation(A)
+    Abar = A.at_precision(1)
     spec1 = Abar.carrier()
     phibar = {"x": PDSeries.geom_var(spec1, "x")}
     phi = lift_morphism(phibar, A, A)
@@ -181,7 +284,7 @@ def test_lift_identity_on_gm():
 
 def test_lift_free_algebra_any_seed_valid():
     A = catalog("a1", R33)
-    Abar = reduce_presentation(A)
+    Abar = A.at_precision(1)
     spec1 = Abar.carrier()
     spec = A.carrier()
     phibar = {"x": PDSeries.geom_var(spec1, "x")}
@@ -194,7 +297,7 @@ def test_lift_free_algebra_any_seed_valid():
 def test_lift_morphism_newton_repairs_unit_pair():
     # seed x -> x(1+p), y -> y; the y-image must become y/(1+p)
     A = unit_pair_presentation(R33, E=6)
-    Abar = reduce_presentation(A)
+    Abar = A.at_precision(1)
     sbar = Abar.carrier()
     phibar = {"x": PDSeries.geom_var(sbar, "x"),
               "y": PDSeries.geom_var(sbar, "y")}
@@ -211,9 +314,21 @@ def test_lift_morphism_newton_repairs_unit_pair():
     assert val.is_zero()
 
 
+def test_lift_morphism_newton_with_two_relations():
+    # seed x -> 4x, z -> 4z; the witness images must become y/4 and w/4
+    A = two_unit_pairs(R33)
+    phibar = generator_images(A, A.at_precision(1).carrier())
+    gen = generator_images(A, A.carrier())
+    seeds = dict(gen, x=gen["x"].scale(4), z=gen["z"].scale(4))
+    phi = lift_morphism(phibar, A, A, seeds=seeds)
+    inv = pow(4, -1, 27)
+    assert phi.images == dict(seeds, y=gen["y"].scale(inv),
+                              w=gen["w"].scale(inv))
+
+
 def test_lift_morphism_rejects_wrong_seed_reduction():
     A = catalog("a1", R33)
-    Abar = reduce_presentation(A)
+    Abar = A.at_precision(1)
     sbar = Abar.carrier()
     spec = A.carrier()
     phibar = {"x": PDSeries.geom_var(sbar, "x")}
@@ -348,6 +463,17 @@ def test_fill_mapping_incompatible_rejected():
     faces[1] = Morphism(A, A, bad, level=1, D=D, validate=False)
     with pytest.raises(IncompatibleFaces):
         fill_mapping_boundary(2, faces, H.reduction(), D=D)
+
+
+def test_fill_mapping_rejects_faces_that_do_not_reduce_to_base():
+    A = catalog("gm", R33)
+    D = 5
+    H = random_two_simplex(A, D, random.Random(5))
+    faces = [H.face(i) for i in range(3)]
+    base = {"x": H.reduction()["x"].scale(2)}
+    # the per-generator check of fill_boundary
+    with pytest.raises(IncompatibleFaces, match="base datum"):
+        fill_mapping_boundary(2, faces, base, D=D)
 
 
 def test_degenerate_simplex_faces():
