@@ -15,6 +15,7 @@ import re
 import sys
 
 from .crystal import (  # compare_dr_cris: perfbench checks its rebinding here
+    KNOWN_ALGEBRAS,
     DoubleComplex,
     _compare_dr_cris,
     _cris,
@@ -341,6 +342,9 @@ def run_compare(args):
 def run_known(args):
     ring = ZpN(args.p, args.N)
     A = _load_algebra_arg(args, ring)
+    if A.name not in KNOWN_ALGEBRAS:
+        raise ValueError(f"no stored values for algebra {A.name!r} "
+                         f"(stored: {', '.join(KNOWN_ALGEBRAS)})")
     rep = known_values_check(A, args.M, args.D)
     return write_report(args, "known", rep.status(), rep.lines(), rep.witness)
 

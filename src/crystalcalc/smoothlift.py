@@ -537,10 +537,10 @@ def lift_morphism(phibar_images: dict, A: Presentation, B: Presentation,
     else:
         images = dict(seeds)
     start = Morphism(A, B, images, level=0, validate=False)
-    small = B.at_precision(1)
-    small_spec = small.carrier()
+    small_ring = B.ring.with_precision(1)
+    small_spec = spec.with_ring(small_ring)
     for name, img in phibar_images.items():
-        got = start.images[name].change_ring(small.ring)
+        got = start.images[name].change_ring(small_ring)
         want = PDSeries(small_spec, dict(img.terms), 1)
         if got != want:
             raise NotCongruent(f"seed for {name} does not reduce to the "

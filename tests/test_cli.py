@@ -423,6 +423,18 @@ def test_fail_outranks_inconclusive():
     assert merged.witness == "b unsure"
 
 
+def test_known_values_for_an_algebra_outside_the_catalog_exits_2(capsys):
+    # nothing can be checked, so this is a usage error and not a failed check
+    with pytest.raises(SystemExit) as exc:
+        main(["known", "--algebra", "ell-3-1-2", "--p", "3", "--N", "2",
+              "--M", "1"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("usage error: no stored values for algebra "
+                       "'ell-3-1-2' (stored: point, a1, gm)\n")
+
+
 def test_known_values_rejects_m_below_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["known", "--algebra", "a1", "--p", "3", "--M", "0",

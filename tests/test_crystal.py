@@ -19,7 +19,7 @@ from crystalcalc.linalg import (ElementaryDivisors, HowellBasis, Matrix,
 from crystalcalc.ring import ZpN
 from crystalcalc.series import PDSeries, pd_substitute
 from crystalcalc.simplicial import LevelTower, SimplexMap
-from crystalcalc.smoothlift import catalog
+from crystalcalc.smoothlift import catalog, unit_pair_presentation
 
 from dense_matrices import assert_rows_validated, to_dense
 
@@ -291,6 +291,118 @@ def test_face_with_geometric_image_is_rejected(monkeypatch, name):
     g = graded_cells(A, 2)[0]
     with pytest.raises(SignConventionViolation, match="degree preserving"):
         dc.face_matrix(1, 1, 0, g)
+
+
+# -- face-side matrices shared by cell layout -----------------------------------
+
+
+def _presentation(name, ring, E):
+    if name == "gm-pair":
+        return unit_pair_presentation(ring, E=E)
+    return catalog(name, ring, E=E)
+
+
+@pytest.mark.parametrize("name,p,N,D,E", [
+    ("gm", 3, 2, 3, 3),
+    ("a1", 2, 3, 3, 4),
+    ("ell-3-1-2", 3, 2, 2, 3),
+    ("gm-pair", 3, 2, 2, 3),
+])
+def test_shared_face_side_matrices_equal_a_single_cell_complex(name, p, N,
+                                                                D, E):
+    # the cells run in order on one complex, so later cells read what earlier
+    # cells of their layout built; a fresh complex asked for one cell alone
+    # builds everything from that cell's own bases
+    A = _presentation(name, ZpN(p, N), E)
+    M = 2
+    dc = DoubleComplex(A, M, D)
+    gs = graded_cells(A, D)
+    for g in gs:
+        fresh = DoubleComplex(A, M, D)
+        for m, col in enumerate(dc.columns):
+            for q in range(col.max_form_degree() + 1):
+                assert dc.normalized_rows(m, q, g) == \
+                    fresh.normalized_rows(m, q, g), (m, q, g)
+                if not m:
+                    continue
+                assert dc.horizontal(m, q, g) == fresh.horizontal(m, q, g), \
+                    (m, q, g)
+                for i in range(m + 1):
+                    got = dc.face_matrix(m, i, q, g)
+                    assert got == fresh.face_matrix(m, i, q, g), (m, i, q, g)
+                    assert got == _reference_face_matrix(dc, m, i, q, g), \
+                        (m, i, q, g)
+        assert dc.verify_moore(g).passed
+    # every case but the one-cell curve shares a layout between cells
+    assert len({dc.layout(g) for g in gs}) < len(gs) or gs == [None]
+
+
+def test_cells_with_one_layout_share_their_matrices():
+    A = catalog("a1", ZpN(3, 2), E=6)
+    dc = DoubleComplex(A, 2, 4)
+    gs = graded_cells(A, 4)
+    assert gs[:2] == [0, 1] and len(gs) > 2
+    # g = 0 has no dx-forms; g >= 1 pairs x^(g-1) dx with x^g
+    assert dc.layout(0) == ((0, ()),)
+    assert dc.layout(1) == ((0, (0,)), (1, ()))
+    assert all(dc.layout(g) == dc.layout(1) for g in gs[1:])
+    for m, col in enumerate(dc.columns):
+        for q in range(col.max_form_degree() + 1):
+            assert dc.normalized_rows(m, q, 0) is not \
+                dc.normalized_rows(m, q, 1)
+            for g in gs[2:]:
+                assert dc.normalized_rows(m, q, g) is \
+                    dc.normalized_rows(m, q, 1)
+            if not m:
+                continue
+            assert dc.horizontal(m, q, 0) is not dc.horizontal(m, q, 1)
+            for i in range(m + 1):
+                assert dc.face_matrix(m, i, q, 0) is not \
+                    dc.face_matrix(m, i, q, 1)
+            for g in gs[2:]:
+                assert dc.horizontal(m, q, g) is dc.horizontal(m, q, 1)
+                for i in range(m + 1):
+                    assert dc.face_matrix(m, i, q, g) is \
+                        dc.face_matrix(m, i, q, 1)
+    # a truncated view reads the same faces
+    view = dc.truncated(1)
+    assert view.face_matrix(1, 1, 0, 3) is dc.face_matrix(1, 1, 0, 1)
+
+
+def test_corrupted_shared_face_fails_moore_at_the_first_cell(monkeypatch):
+    # x*y = 1 has two layouts: the cells g <= 0 pair dx with the larger
+    # x-monomial, the cells g >= 1 with the smaller one.  A corrupted face of
+    # the second layout must fail the Moore check, first at g = 1, and in
+    # every cell of that layout but no other
+    A = unit_pair_presentation(ZpN(3, 2), E=3)
+    D = 2
+    gs = graded_cells(A, D)
+    probe = DoubleComplex(A, 2, D)
+    bad_layout = probe.layout(1)
+    sharing = [g for g in gs if probe.layout(g) == bad_layout]
+    assert sharing[0] == 1 and len(sharing) > 1 and gs[0] < 1
+    original = DoubleComplex._build_face_matrix
+
+    def corrupted(self, m, i, q, g):
+        mat = original(self, m, i, q, g)
+        if (m, i) == (2, 1) and self.layout(g) == bad_layout:
+            return mat.scale(2)
+        return mat
+
+    monkeypatch.setattr(DoubleComplex, "_build_face_matrix", corrupted)
+    rep = compare_dr_cris(A, 2, D)
+    assert not rep.passed
+    assert rep.details["000:moore-property"] == "fail"
+    assert rep.witness.endswith(", graded 1"), rep.witness
+    dc = DoubleComplex(A, 2, D)
+    for g in gs:
+        moore = dc.verify_moore(g)
+        assert moore.passed == (dc.layout(g) != bad_layout), g
+        assert moore.details["graded"] == g
+        if not moore.passed:
+            assert moore.witness.endswith(f", graded {g}")
+    # the outcome is kept per M: the view's two columns have no Moore square
+    assert dc.truncated(1).verify_moore(1).passed
 
 
 # -- one double complex per comparison ------------------------------------------
