@@ -25,7 +25,7 @@ from .crystal import (  # compare_dr_cris: perfbench checks its rebinding here
     known_values_check,
 )
 from .derham import base_change_check, poincare_check
-from .errors import CrystalError
+from .errors import CrystalError, NotACover
 from .localized import cech_descent_check
 from .reports import merge_reports
 from .ring import ZpN
@@ -295,7 +295,11 @@ def run_dr(args):
             raise ValueError("--cech covers are defined for the affine line "
                              "(one polynomial generator, no relations)")
         cover = [_parse_cover_element(elt) for elt in args.cech.split(",")]
-        reports.append(cech_descent_check(ring, args.E, cover))
+        try:
+            reports.append(cech_descent_check(ring, args.E, cover))
+        except NotACover as exc:
+            # a cover the check does not take: nothing was checked
+            raise ValueError(exc) from None
     report = dr_report(A, args.D, seed=args.seed)
     merged = merge_reports("dr", reports)
     body = []

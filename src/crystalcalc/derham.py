@@ -8,6 +8,15 @@ is capped by D (a dT counts with weight one, so the exterior differential
 and the integration homotopy both preserve the cap and the per-weight pieces
 of the interval direction are exactly contractible).
 
+The T-part (te, K) of a basis form is capped by D whatever its x-part, and
+d(T^[k]) = T^[k-1] dT keeps that weight, so the level-m complex is the
+Koszul tensor product of the level-0 complex with the point's level-m
+complex Omega_T: a form x^a T^[b] dx_J ^ dT_K is the pair (x^a dx_J,
+T^[b] dT_K), and d_m = d_0 (x) 1 + (-1)^|J| 1 (x) d_T, the sign from moving
+d_T past the |J| geometric differentials.  ``poincare_check`` certifies the
+interval contraction on Omega_T alone and carries it to level m through
+this factorization.
+
 With a homogeneous grading on the base generators (dx carrying its
 generator's weight, T and dT weight zero) every differential is degree
 preserving, and cohomology is computed exactly per graded degree on the
@@ -26,7 +35,7 @@ from .linalg import ElementaryDivisors, Matrix, complex_cohomology
 from .reports import CheckReport, merge_reports
 from .series import PDSeries, VarSpec
 from .simplicial import t_monomials
-from .smoothlift import Presentation, evaluate_poly
+from .smoothlift import Presentation, catalog, evaluate_poly
 
 
 class FormBasis(NamedTuple):
@@ -307,18 +316,6 @@ def _interval_free(b: FormBasis) -> bool:
     return not any(b.te) and not b.K
 
 
-def _interval_free_inclusion(base: DeRhamComplex, col: DeRhamComplex, q, g):
-    """S_q: each level-0 basis q-form to the same form with te = 0 and K = ()
-    in ``col``; None unless it hits each interval-free q-form exactly once."""
-    index = {b: k for k, b in enumerate(col.basis(q, g))}
-    zero = (0,) * col.npd
-    hits = [index.get(b._replace(te=zero)) for b in base.basis(q, g)]
-    if None in hits or sorted(hits) != [k for b, k in index.items()
-                                        if _interval_free(b)]:
-        return None
-    return Matrix._trusted(col.spec.ring, [{k: 1} for k in hits], len(index))
-
-
 def level0_complex(A: Presentation, D: int) -> DeRhamComplex:
     """The level-0 complex of A at D, one per D, kept on the presentation.
 
@@ -384,48 +381,115 @@ def _no_certified_cells(name, A: Presentation, details) -> CheckReport:
 def poincare_check(A: Presentation, m: int, D: int) -> CheckReport:
     """Adjoining interval variables does not change cohomology.
 
-    Per certified graded degree, with no elimination: d d = 0 at level m,
-    kappa d + d kappa = id - P, and S_q d_m = d_0 S_{q+1} for the inclusion
-    S of the level-0 forms as the interval-free ones.  As d(id - P) =
-    d kappa d = (id - P) d, the level-m complex retracts onto its
-    interval-free subcomplex, which is the level-0 complex, so the divisors
-    agree in every degree (and vanish above level 0's top degree).
+    The level-m complex is the Koszul tensor product of the level-0 complex
+    with the point's level-m complex: its q-forms are the pairs of a level-0
+    q0-form and a point (q - q0)-form, and
+    d_m = d_0 (x) 1 + (-1)^|J| 1 (x) d_T, where |J| = q0 is the degree of the
+    level-0 form.  With no elimination and no level-m matrix product, the
+    check certifies:
+
+    - once, on the point's complex: d_T d_T = 0 and the contraction
+      kappa_T d_T + d_T kappa_T = id - P_T, P_T the projection onto the
+      form 1 (``verify_contraction``);
+    - per certified graded cell: d_0 d_0 = 0, that the level-m forms are
+      exactly the pairs, and that every row of the level-m ``dmat`` equals
+      that row of the tensor assembly.
+
+    The rest is algebra.  d_m d_m = 0, as the Koszul sign makes the cross
+    terms cancel.  kappa = (-1)^|J| 1 (x) kappa_T gives
+    kappa d_m + d_m kappa = 1 (x) (id - P_T) = id - P, so the level-m complex
+    retracts onto the image of P, the forms b (x) 1.  On them
+    d_m(b (x) 1) = d_0 b (x) 1, since d_T(1) = 0 (P_T commutes with d_T, and
+    the point has no interval-free 1-forms).  So the image of P is the
+    level-0 complex, and the divisors agree in every degree (and vanish
+    above level 0's top degree).
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if m > 3:
         raise ValueError("m above 3 is not certified (cost control)")
     name = f"poincare-{A.name}-m{m}"
-    col = DeRhamComplex(PFSmObject(A, m, D))
-    base = level0_complex(A, D)
     cells = graded_cells(A, D)
     if not cells:
         return _no_certified_cells(name, A, {"m": m})
+    point = DeRhamComplex(PFSmObject(catalog("point", A.ring), m, D))
+    point.assert_complex()
+    contraction = point.verify_contraction()
+    if not contraction.passed:
+        return merge_reports(name, [contraction])
+    col = DeRhamComplex(PFSmObject(A, m, D))
+    base = level0_complex(A, D)
     reports = []
     for g in cells:
-        col.assert_complex(g)
-        reports.append(col.verify_contraction(g))
-        if not reports[-1].passed:
-            return merge_reports(name, reports)
-        top = col.max_form_degree()
-        incl = [_interval_free_inclusion(base, col, q, g)
-                for q in range(top + 2)]
-        bad = next((q for q, S in enumerate(incl) if S is None), None)
-        if bad is not None:
-            witness = f"the interval-free {bad}-forms are not level 0's basis"
-        else:
-            bad = next((q for q in range(top + 1) if incl[q].mul(col.dmat(
-                q, g)) != base.dmat(q, g).mul(incl[q + 1])), None)
-            witness = f"d on the interval-free {bad}-forms is not level 0's"
-        if bad is not None:
+        base.assert_complex(g)
+        mismatch = _tensor_mismatch(col, base, point, g)
+        if mismatch is not None:
+            witness, q = mismatch
             reports.append(CheckReport(
                 "poincare-identification", False,
                 witness=f"{witness} (level {m}, graded {g})",
-                details={"q": bad, "graded": g}))
+                details={"q": q, "graded": g}))
             return merge_reports(name, reports)
+        # the point's contraction, carried to this cell by the factorization
+        reports.append(CheckReport("poincare-contraction", True,
+                                   details={"graded": g}))
     reports.append(CheckReport("poincare-identification", True,
                                details={"cells": len(cells), "m": m}))
     return merge_reports(name, reports)
+
+
+def _tensor_mismatch(col: DeRhamComplex, base: DeRhamComplex,
+                     point: DeRhamComplex, g):
+    """Where cell g of ``col`` is not base (x) point, as (witness, q), or None.
+
+    The bases first, in every form degree: each level-m form (xe, te, J, K)
+    is exactly one pair of a level-0 form (xe, J) and a point form (te, K).
+    Then the rows: d of a pair is d_0 of its level-0 form with the point
+    form kept, plus (-1)^|J| times d_T of its point form with the level-0
+    form kept.
+    """
+    mod = col.spec.ring.modulus
+    top = col.max_form_degree()
+    index = []
+    for q in range(top + 2):
+        index.append({b: k for k, b in enumerate(col.basis(q, g))})
+        rows = [index[q].get((b.xe, t.te, b.J, t.K))
+                for q0 in range(q + 1) for b in base.basis(q0, g)
+                for t in point.basis(q - q0)]
+        if None in rows or len(rows) != len(index[q]) or \
+                len(set(rows)) != len(rows):
+            free = [b._replace(te=()) for b in col.basis(q, g)
+                    if _interval_free(b)]
+            if free != sorted(base.basis(q, g)):
+                return (f"the interval-free {q}-forms are not level 0's "
+                        f"basis"), q
+            return (f"the {q}-forms are not the pairs of a level-0 form and "
+                    f"a point form"), q
+    for q in range(top + 1):
+        got = col.dmat(q, g)._rows
+        want = [None] * len(got)
+        here, there = index[q], index[q + 1]
+        for q0 in range(q + 1):
+            sign = -1 if q0 % 2 else 1
+            base_tgt = base.basis(q0 + 1, g)
+            point_src = point.basis(q - q0)
+            point_tgt = point.basis(q - q0 + 1)
+            point_rows = point.dmat(q - q0)._rows
+            for b, row0 in zip(base.basis(q0, g), base.dmat(q0, g)._rows):
+                d0 = [(base_tgt[j], v) for j, v in row0.items()]
+                for t, row_t in zip(point_src, point_rows):
+                    row = {there[(c.xe, t.te, c.J, t.K)]: v for c, v in d0}
+                    for j, v in row_t.items():
+                        u = point_tgt[j]
+                        row[there[(b.xe, u.te, b.J, u.K)]] = sign * v % mod
+                    want[here[(b.xe, t.te, b.J, t.K)]] = row
+        if want != got:
+            b = next(b for b, w, r in zip(col.basis(q, g), want, got)
+                     if w != r)
+            if _interval_free(b):
+                return f"d on the interval-free {q}-forms is not level 0's", q
+            return f"d on {b} is not d_0 (x) 1 + (-1)^|J| 1 (x) d_T", q
+    return None
 
 
 def base_change_check(A: Presentation, m: int, D: int) -> CheckReport:

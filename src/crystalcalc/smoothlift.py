@@ -424,12 +424,18 @@ class Morphism:
         return f"Morphism(level={self.level}, {ims})"
 
     def validate(self):
-        """Every source relation must map to zero within precision and caps."""
+        """Every source relation must map to zero within precision and caps,
+        and every Laurent generator to a unit."""
         for idx, val in enumerate(self.residuals()):
             if not val.reduce_precision(self.prec).is_zero():
                 raise PrecisionExhausted(
                     f"relation {idx} of {self.source.name} not preserved",
                     witness=val)
+        return self.require_units()
+
+    def require_units(self):
+        """Every Laurent generator must map to a unit: all that ``validate``
+        adds to residuals that ``newton_correct`` has driven to zero."""
         for g in self.source.generators:
             if g.kind == "laurent":
                 self.target.require_unit(self.images[g.name])
@@ -483,7 +489,7 @@ def newton_correct(phi: Morphism) -> Morphism:
     Corrections are multiples of the current residuals, so they vanish
     wherever the residuals do (mod p, on every interval face); boundary data
     survives the iteration exactly.  Like phi, the result is not validated:
-    its residuals are zero, and every caller validates it as a whole.
+    its residuals are zero, so a caller only needs ``require_units``.
     """
     src, tgt = phi.source, phi.target
     if not src.relations:
@@ -545,8 +551,7 @@ def lift_morphism(phibar_images: dict, A: Presentation, B: Presentation,
         if got != want:
             raise NotCongruent(f"seed for {name} does not reduce to the "
                                f"mod-p morphism", witness=name)
-    lifted = newton_correct(start)
-    return lifted.validate()
+    return newton_correct(start).require_units()
 
 
 class Homotopy(Morphism):
@@ -591,7 +596,7 @@ def build_homotopy(phi1: Morphism, phi2: Morphism, D: int) -> Homotopy:
         corrected = newton_correct(h)
         h = Homotopy(src, tgt, corrected.images, level=1, D=D,
                      prec=corrected.prec, validate=False)
-    h.validate()
+    h.require_units()
     at_zero, at_pi = h.at_zero.images, h.at_pi.images
     for name in sorted(phi1.images):
         if at_zero[name] != phi1.images[name]:
@@ -632,8 +637,7 @@ def fill_mapping_boundary(m: int, faces, base: dict, D: int) -> Morphism:
             if filler.face(i).images != faces[i].images:
                 raise PrecisionExhausted(f"face {i} not matched by the filler",
                                          witness=i)
-    filler.validate()
-    return filler
+    return filler.require_units()
 
 
 # -- catalog --------------------------------------------------------------

@@ -486,3 +486,30 @@ def test_cech_with_roots_that_agree_mod_p_is_inconclusive(tmp_path, cover,
     assert (f"witness: roots {a} and {b} agree mod 2: the chart model is "
             "not the localization") in lines
     assert "status: pass" not in lines
+
+
+@pytest.mark.parametrize("cover, p, message", [
+    ("x,x-1,x-2,x-3", "5", "covers of size above 3 are not certified"),
+    ("3,x", "3", "element vanishes identically mod p"),
+    ("3x+1,x", "3", "leading coefficient must be a unit or zero"),
+])
+def test_cech_cover_the_check_does_not_take_exits_2(capsys, cover, p,
+                                                    message):
+    # nothing is checked, so there is no verdict to report
+    with pytest.raises(SystemExit) as exc:
+        main(["dr", "--algebra", "a1", "--p", p, "--N", "2", "--E", "4",
+              "--cech", cover])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"usage error: {message}\n"
+
+
+def test_cech_non_cover_is_a_fail_verdict(tmp_path):
+    code, text = run_cli(["dr", "--algebra", "a1", "--p", "3", "--E", "4",
+                          "--cech", "x"], tmp_path)
+    assert code == 1
+    lines = text.splitlines()
+    assert "status: fail" in lines[:5]
+    assert ("witness: localizing elements share their zero locus mod p "
+            "(not a cover)") in lines

@@ -221,6 +221,144 @@ def test_poincare_fails_when_level0_basis_misses_a_form(monkeypatch):
                            "basis (level 1, graded 1)")
 
 
+def _tensor_assembly(col, base, point, q, g):
+    """d_0 (x) 1 + (-1)^|J| 1 (x) d_T on the level-m q-forms, each form split
+    into its level-0 part (xe, J) and its point part (te, K)."""
+    mod = col.spec.ring.modulus
+    target = {b: k for k, b in enumerate(col.basis(q + 1, g))}
+    rows = []
+    for b in col.basis(q, g):
+        b0 = FormBasis(b.xe, (), b.J, ())
+        t = FormBasis((), b.te, (), b.K)
+        q0 = len(b.J)
+        row0 = base.dmat(q0, g).row_dicts()[base.basis(q0, g).index(b0)]
+        row_t = point.dmat(q - q0).row_dicts()[point.basis(q - q0).index(t)]
+        row = {}
+        for j, v in row0.items():
+            c = base.basis(q0 + 1, g)[j]
+            k = target[FormBasis(c.xe, b.te, c.J, b.K)]
+            row[k] = (row.get(k, 0) + v) % mod
+        for j, v in row_t.items():
+            u = point.basis(q - q0 + 1)[j]
+            k = target[FormBasis(b.xe, u.te, b.J, u.K)]
+            row[k] = (row.get(k, 0) + (-1) ** q0 * v) % mod
+        rows.append(row)
+    return Matrix.from_row_dicts(col.spec.ring, rows, len(target))
+
+
+@pytest.mark.parametrize("name,ring,E,D", [
+    ("point", ZpN(2, 3), 0, 4),
+    ("a1", ZpN(2, 3), 4, 3),
+    ("a1", ZpN(3, 2), 4, 3),
+    ("gm", ZpN(3, 2), 3, 3),
+    ("ell-3-1-2", ZpN(3, 2), 3, 2),
+    ("gm-pair", ZpN(3, 2), 3, 2),
+])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_level_m_differential_is_the_tensor_assembly(name, ring, E, D, m):
+    A = _algebra(name, ring, E)
+    col = DeRhamComplex(PFSmObject(A, m, D))
+    base = DeRhamComplex(PFSmObject(A, 0, D))
+    point = DeRhamComplex(PFSmObject(catalog("point", ring), m, D))
+    for g in graded_cells(A, D):
+        for q in range(col.max_form_degree() + 1):
+            assert col.dmat(q, g) == _tensor_assembly(col, base, point, q,
+                                                      g), (q, g)
+    assert poincare_check(A, m, D).passed
+
+
+def test_poincare_fails_on_a_flipped_sign_of_the_point_kappa(monkeypatch):
+    # kappa(dT0) = -T0^[1]: then d kappa(dT0) = -dT0, not dT0
+    A = catalog("a1", ZpN(3, 2), E=4)
+    assert poincare_check(A, 2, D=3).passed
+    kappa = DeRhamComplex.kappa_of_basis
+    flipped = FormBasis((), (0, 0), (), (0,))
+
+    def kappa_of_basis(self, b, target_index):
+        row = kappa(self, b, target_index)
+        if self.ngeom == 0 and b == flipped:
+            row = {k: -v % self.spec.ring.modulus for k, v in row.items()}
+        return row
+
+    monkeypatch.setattr(DeRhamComplex, "kappa_of_basis", kappa_of_basis)
+    rep = poincare_check(A, 2, D=3)
+    assert not rep.passed
+    assert list(rep.details) == ["000:poincare-contraction"]
+    assert rep.witness.startswith("identity fails on FormBasis(xe=(), ")
+
+
+def _corrupt_level_m_row(monkeypatch, m, q, g, form, change):
+    """Apply change(row, target basis) to one row of the level-m dmat(q, g)
+    of a positive-degree algebra."""
+    original = DeRhamComplex.dmat
+
+    def dmat(self, q_, g_=None):
+        M = original(self, q_, g_)
+        if (self.npd, self.ngeom, q_, g_) != (m, 1, q, g):
+            return M
+        rows = M.row_dicts()
+        change(rows[self.basis(q, g).index(form)], self.basis(q + 1, g))
+        return Matrix.from_row_dicts(M.ring, rows, M.ncols)
+
+    monkeypatch.setattr(DeRhamComplex, "dmat", dmat)
+
+
+def test_poincare_fails_on_an_entry_between_two_x_monomials(monkeypatch):
+    # d(x^2 T0^[1]) = 2x dx T0^[1] + x^2 dT0 gains x dx: the x-monomial
+    # changes and T0^[1] drops, which neither d_0 (x) 1 nor 1 (x) d_T does
+    A = catalog("a1", ZpN(3, 2), E=4)
+    form = FormBasis((2,), (1,), (), ())
+
+    def change(row, tgt):
+        row[tgt.index(FormBasis((1,), (0,), (0,), ()))] = 1
+
+    _corrupt_level_m_row(monkeypatch, 1, 0, 2, form, change)
+    rep = poincare_check(A, 1, D=4)
+    assert not rep.passed
+    failed = [k for k, v in rep.details.items() if v == "fail"]
+    assert [k.split(":")[1] for k in failed] == ["poincare-identification"]
+    assert rep.witness == (f"d on {form} is not d_0 (x) 1 + (-1)^|J| 1 (x) "
+                           f"d_T (level 1, graded 2)")
+
+
+def test_poincare_fails_on_plus_one_in_a_row_with_interval_variables(
+        monkeypatch):
+    # x^2 dT0 in d(x^2 T0^[1]) gets coefficient 2; the level-m contraction
+    # reads that row too, and fails on it as well
+    A = catalog("a1", ZpN(3, 2), E=4)
+    form = FormBasis((2,), (1,), (), ())
+
+    def change(row, tgt):
+        j = tgt.index(FormBasis((2,), (0,), (), (0,)))
+        row[j] += 1
+
+    _corrupt_level_m_row(monkeypatch, 1, 0, 2, form, change)
+    assert not DeRhamComplex(PFSmObject(A, 1, 4)).verify_contraction(2).passed
+    rep = poincare_check(A, 1, D=4)
+    assert not rep.passed
+    assert rep.witness == (f"d on {form} is not d_0 (x) 1 + (-1)^|J| 1 (x) "
+                           f"d_T (level 1, graded 2)")
+    assert rep.details["002:poincare-identification"] == "fail"
+
+
+def test_poincare_fails_when_a_level_m_form_is_not_a_pair(monkeypatch):
+    # level 1 without x T0^[1]: the interval-free forms are still level 0's
+    A = catalog("a1", ZpN(3, 2), E=4)
+    original = DeRhamComplex.basis
+    dropped = FormBasis((1,), (1,), (), ())
+
+    def basis(self, q, g=None):
+        out = original(self, q, g)
+        return [b for b in out if b != dropped] \
+            if (self.npd, self.ngeom) == (1, 1) else out
+
+    monkeypatch.setattr(DeRhamComplex, "basis", basis)
+    rep = poincare_check(A, 1, D=4)
+    assert not rep.passed
+    assert rep.witness == ("the 0-forms are not the pairs of a level-0 form "
+                           "and a point form (level 1, graded 1)")
+
+
 # -- graded windows -------------------------------------------------------------
 
 

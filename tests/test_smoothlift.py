@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import crystalcalc.smoothlift as smoothlift
 from crystalcalc.derham import DeRhamComplex, PFSmObject
 from crystalcalc.errors import (
     IncompatibleFaces,
@@ -335,6 +336,56 @@ def test_lift_morphism_rejects_wrong_seed_reduction():
     seeds = {"x": PDSeries.geom_var(spec, "x").add(PDSeries.one(spec))}
     with pytest.raises(NotCongruent):
         lift_morphism(phibar, A, A, seeds=seeds)
+
+
+def _residual_evaluations(monkeypatch):
+    """Wrap relation_residuals; each call is recorded as made inside or
+    outside newton_correct."""
+    calls = []
+    inside = []
+    residuals = smoothlift.relation_residuals
+    newton = smoothlift.newton_correct
+
+    def relation_residuals(*args):
+        calls.append("newton" if inside else "other")
+        return residuals(*args)
+
+    def newton_correct(phi):
+        inside.append(phi)
+        try:
+            return newton(phi)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(smoothlift, "relation_residuals", relation_residuals)
+    monkeypatch.setattr(smoothlift, "newton_correct", newton_correct)
+    return calls
+
+
+def test_seeded_lift_evaluates_the_residuals_only_in_newton(monkeypatch):
+    # one Newton step: the residuals of the seed and of the corrected
+    # images, which are zero and are not evaluated a third time
+    A = unit_pair_presentation(R33, E=6)
+    phibar = generator_images(A, A.at_precision(1).carrier())
+    gen = generator_images(A, A.carrier())
+    seeds = dict(gen, x=gen["x"].scale(4))
+    calls = _residual_evaluations(monkeypatch)
+    phi = lift_morphism(phibar, A, A, seeds=seeds)
+    assert calls == ["newton", "newton"]
+    assert phi.images == dict(seeds, y=gen["y"].scale(pow(4, -1, 27)))
+
+
+def test_unit_pair_homotopy_evaluates_the_residuals_only_in_newton(
+        monkeypatch):
+    A = unit_pair_presentation(R33, E=8)
+    gen = generator_images(A, A.carrier())
+    phi1 = Morphism(A, A, gen)
+    phi2 = Morphism(A, A, {"x": gen["x"].scale(4),
+                           "y": gen["y"].scale(pow(4, -1, 27))})
+    calls = _residual_evaluations(monkeypatch)
+    h = build_homotopy(phi1, phi2, D=6)
+    assert calls == ["newton", "newton"]
+    assert h.residuals()[0].is_zero()
 
 
 # -- homotopies -------------------------------------------------------------
