@@ -66,6 +66,9 @@ class DoubleComplex:
     def __init__(self, A: Presentation, M: int, D: int):
         if M > 3:
             raise ValueError("column truncation above 3 is not certified")
+        if M >= 1 and D < 1:
+            raise ValueError(
+                "D must be >= 1: the interval variables need degree 1")
         self.A = A
         self.M = M
         self.D = D

@@ -408,6 +408,8 @@ def poincare_check(A: Presentation, m: int, D: int) -> CheckReport:
         raise ValueError("m must be >= 0")
     if m > 3:
         raise ValueError("m above 3 is not certified (cost control)")
+    if m >= 1 and D < 1:
+        raise ValueError("D must be >= 1: the interval variables need degree 1")
     name = f"poincare-{A.name}-m{m}"
     cells = graded_cells(A, D)
     if not cells:

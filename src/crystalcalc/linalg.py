@@ -402,23 +402,41 @@ def _walk(res, lead, mod, start=-1):
         yield key, q
 
 
-def _kernel_pivots(M: Matrix):
+def _kernel_pivots(M: Matrix, k=None):
     """Howell pivots of the left kernel of M, in two engine passes.
 
     The first pass only collects the zero transforms, so its pivots are
     never reduced above.
+
+    With ``k``, only the rows below k start with unit transforms and the
+    rest with empty ones.  The engine's row operations do not read the
+    transforms, so every transform is then the projection onto the first k
+    coordinates of the one it would be without ``k``, and the pivots are
+    those of the kernel's projection {x[:k] : x*M = 0}.  The Howell form is
+    unique, so they are, in order, the first k coordinates of the full
+    kernel's Howell rows that lead in a column below k (the projections of
+    those rows are echelon, reduced, and closed as the Howell property
+    asks, since a kernel vector that vanishes below c < k is a combination
+    of the rows leading at c or later).
     """
-    transforms = [{i: 1} for i in range(M.nrows)]
+    n = M.nrows if k is None else k
+    if not 0 <= n <= M.nrows:
+        raise ValueError(f"projection onto {k} of {M.nrows} coordinates")
+    transforms = [{i: 1} for i in range(n)] + [{} for _ in range(M.nrows - n)]
     _, zeros = _howell_engine(M.ring, M._rows, transforms)
     if not zeros:
         return []
     return _reduce_above(M.ring, _howell_engine(M.ring, zeros)[0])
 
 
-def kernel(M: Matrix) -> Matrix:
-    """Howell basis of the left kernel {x : x*M = 0}."""
-    rows = [row for _c, row, _t, _v in _kernel_pivots(M)]
-    return Matrix._trusted(M.ring, rows, M.nrows)
+def kernel(M: Matrix, k=None) -> Matrix:
+    """Howell basis of the left kernel {x : x*M = 0}.
+
+    With ``k``, the Howell basis of its projection onto the first k
+    coordinates (see ``_kernel_pivots``), as a matrix with k columns.
+    """
+    rows = [row for _c, row, _t, _v in _kernel_pivots(M, k)]
+    return Matrix._trusted(M.ring, rows, M.nrows if k is None else k)
 
 
 class HowellBasis:

@@ -32,6 +32,16 @@ It never reads the ``t_image`` cache, which it thereby certifies.  Division by
 the full variable product is prepared once per tower and level: the product
 multiples are eliminated into one Howell form with transforms, and each
 division is then a single reduction against it.
+
+The regularity check runs in stages: stage (S, j) asks that multiplication
+by T_j be injective, in the window, modulo the ideal of the elements in S.
+It reads only the projection of the left kernel of [multiplication rows;
+ideal rows] onto the multiplication rows, {f : f*T_j in the ideal}, and
+takes just that projection (``kernel`` with k set).  The Howell form is
+unique, so the projection's rows are, in order, the f-parts of the full
+kernel's Howell rows that lead in the multiplication rows.  A stage depends
+on S only through the span of its rows, so ``regular_sequence_suite``
+checks each distinct stage once, (m+1)*2^m of them for the (m+1)! orders.
 """
 
 from itertools import permutations
@@ -624,6 +634,104 @@ def verify_boundary_kernel(p: int, N: int, D: int, m: int) -> CheckReport:
 # -- regular sequences ---------------------------------------------------
 
 
+class _RegularityStages:
+    """The stages (S, j) of the windowed regularity check at level m.
+
+    A verdict is kept per (boundary quotient, S, j), and every permutation
+    that reaches the stage reads it.  The tower, each element's
+    multiplication rows and each S's ideal are built once.
+    """
+
+    def __init__(self, p: int, N: int, D: int, m: int):
+        if m > 3:
+            raise ValueError("m above 3 is not certified (cost control)")
+        self.m, self.D = m, D
+        self.small = ZpN(p, N)
+        self.tower = LevelTower(ZpN(p, N + D + 2), D)
+        self.basis = self.tower.basis(m)
+        index = self.tower._index(m)
+        self.basis_in = [te for te in self.basis if sum(te) <= D - 1]
+        self.in_to_all = [index[te] for te in self.basis_in]
+        self._rows = {}
+        self._ideals = {}
+        self._verdicts = {}
+
+    def _multiples(self, j):
+        """The rows of T_j * T^te over ``basis(m)``, te in the degree <= D-1
+        monomials (T_m is the derived expression)."""
+        rows = self._rows.get(j)
+        if rows is None:
+            tower = self.tower
+            rows = self._rows[j] = tower.multiples(
+                self.m, tower.var_or_derived(self.m, j), self.basis_in)
+        return rows
+
+    def _ideal(self, S, boundary_quotient):
+        """The ideal of S (and of the product, with the boundary quotient):
+        its generator rows in degree <= D, and the precision-N Howell basis
+        of those in degree <= D-1, the membership target.  Built once."""
+        key = (boundary_quotient, S)
+        ideal = self._ideals.get(key)
+        if ideal is None:
+            full, low = [], []
+            if boundary_quotient:
+                monos, full = self.tower.product_multiples(self.m)
+                low = [row for te, row in zip(monos, full)
+                       if sum(te) + self.m + 1 <= self.D - 1]
+            for s in sorted(S):
+                rows = self._multiples(s)
+                full += rows
+                low += [row for te, row in zip(self.basis_in, rows)
+                        if sum(te) <= self.D - 2]
+            ideal = self._ideals[key] = (
+                full, HowellBasis(self.small, low, len(self.basis)))
+        return ideal
+
+    def stage(self, S: frozenset, j: int, boundary_quotient: bool):
+        """The leading monomial of a class of degree <= D-1 that T_j kills
+        modulo the ideal of S but that is not in that ideal, or None.
+
+        The projected kernel of [multiplication rows of T_j; ideal rows] is
+        the Howell basis of the f with f*T_j in the ideal, computed with
+        valuation headroom; membership is then decided in Z/p^N.
+        """
+        key = (boundary_quotient, S, j)
+        if key in self._verdicts:
+            return self._verdicts[key]
+        mult_rows = self._multiples(j)
+        full, low = self._ideal(S, boundary_quotient)
+        ker = kernel(Matrix._trusted(self.tower.ring, mult_rows + full,
+                                     len(self.basis)), len(mult_rows))
+        verdict = None
+        for row in ker._rows:
+            f_part = {self.in_to_all[k]: v for k, v in row.items()}
+            if not low.contains(f_part):
+                verdict = self.basis[min(f_part)]
+                break
+        self._verdicts[key] = verdict
+        return verdict
+
+    def run(self, perm, boundary_quotient: bool = False) -> CheckReport:
+        """The report of one permutation: its stages in order, up to the
+        first failure."""
+        m = self.m
+        perm = tuple(perm)
+        if sorted(perm) != list(range(m + 1)):
+            raise ValueError("perm must order the m+1 interval variables")
+        for stage, j in enumerate(perm):
+            mono = self.stage(frozenset(perm[:stage]), j, boundary_quotient)
+            if mono is not None:
+                witness = (f"stage {stage} (element T{j}): class at "
+                           f"monomial {mono} is killed but nonzero")
+                return CheckReport("regular-sequence", False, witness=witness,
+                                   details={"m": m, "perm": perm,
+                                            "stage": stage,
+                                            "boundary_quotient": boundary_quotient})
+        return CheckReport("regular-sequence", True,
+                           details={"m": m, "perm": perm,
+                                    "boundary_quotient": boundary_quotient})
+
+
 def check_regular_sequence(p: int, N: int, D: int, m: int, perm,
                            boundary_quotient: bool = False) -> CheckReport:
     """Windowed regularity of the permuted interval variables at level m.
@@ -638,72 +746,37 @@ def check_regular_sequence(p: int, N: int, D: int, m: int, perm,
     p^N times everything.  Failures are reported with the offending class.
     With ``boundary_quotient`` the same test runs in the ring modulo the
     full variable product, where it must fail.
+
+    Only the f-part of the kernel of [multiplication rows; previous rows]
+    is read, so each stage takes the kernel's projection onto the
+    multiplication rows, {f : f*a in span(previous rows)}.  Its Howell rows
+    are, in order, the f-parts of the full kernel's Howell rows that lead
+    in those rows (the Howell form is unique), so the verdict and the
+    witness are those of the full kernel.  This runs the permutation
+    through the same stages as ``regular_sequence_suite``.
     """
-    name = "regular-sequence"
-    if m > 3:
-        raise ValueError("m above 3 is not certified (cost control)")
-    perm = tuple(perm)
-    if sorted(perm) != list(range(m + 1)):
-        raise ValueError("perm must order the m+1 interval variables")
-    buffered = ZpN(p, N + D + 2)
-    small = ZpN(p, N)
-    tower = LevelTower(buffered, D)
-    basis = tower.basis(m)
-    index = tower._index(m)
-    nall = len(basis)
-    basis_in = [te for te in basis if sum(te) <= D - 1]
-    in_to_all = {k: index[te] for k, te in enumerate(basis_in)}
-    nin = len(basis_in)
-
-    elements = [tower.var_or_derived(m, j) for j in perm]
-
-    prev_rows_full = []   # span of previous elements, degree <= D
-    prev_rows_low = []    # same but degree <= D-1 (for the membership target)
-    if boundary_quotient:
-        monos, prev_rows_full = tower.product_multiples(m)
-        prev_rows_low = [row for te, row in zip(monos, prev_rows_full)
-                         if sum(te) + m + 1 <= D - 1]
-
-    for stage, a in enumerate(elements):
-        hb_low = HowellBasis(small, prev_rows_low, nall)
-        # f*a lies in the previous ideal iff (f, y) kills the stacked matrix
-        # [multiplication rows; ideal generator rows]; the multiplication
-        # rows then extend the ideal for the next stage
-        mult_rows = tower.multiples(m, a, basis_in)
-        ker = kernel(Matrix._trusted(buffered, mult_rows + prev_rows_full,
-                                     nall))
-        for row in ker._rows:
-            f_part = {in_to_all[k]: v for k, v in row.items() if k < nin}
-            if not f_part:
-                continue
-            if not hb_low.contains(f_part):
-                j = sorted(f_part)[0]
-                witness = (f"stage {stage} (element T{perm[stage]}): class at "
-                           f"monomial {basis[j]} is killed but nonzero")
-                return CheckReport(name, False, witness=witness,
-                                   details={"m": m, "perm": perm,
-                                            "stage": stage,
-                                            "boundary_quotient": boundary_quotient})
-        prev_rows_full += mult_rows
-        prev_rows_low += [row for te, row in zip(basis_in, mult_rows)
-                          if sum(te) <= D - 2]
-    return CheckReport(name, True,
-                       details={"m": m, "perm": perm,
-                                "boundary_quotient": boundary_quotient})
+    return _RegularityStages(p, N, D, m).run(perm, boundary_quotient)
 
 
 def regular_sequence_suite(p: int, N: int, D: int, m: int) -> CheckReport:
-    """All permutations at level m, plus the boundary-ring negative control."""
-    reports = []
-    for perm in permutations(range(m + 1)):
-        reports.append(check_regular_sequence(p, N, D, m, perm))
+    """All permutations at level m, plus the boundary-ring negative control.
+
+    A stage's verdict depends only on the span of the earlier elements'
+    rows, that is on the set S of earlier elements and not on their order,
+    and its projected kernel and precision-N Howell basis are unique for
+    that span.  So every distinct stage (S, j) is checked once, (m+1)*2^m
+    of them instead of (m+1)!*(m+1), on one buffered tower, and each
+    permutation's report is exactly that of ``check_regular_sequence``.
+    The negative control keeps stages of its own.
+    """
+    stages = _RegularityStages(p, N, D, m)
+    reports = [stages.run(perm) for perm in permutations(range(m + 1))]
     control = "boundary-ring-negative-control"
     if D < m + 1:
         # the quotient by a product the window cannot hold is the plain ring
         reports.append(_window_too_small(control, m, D))
     else:
-        neg = check_regular_sequence(p, N, D, m, tuple(range(m + 1)),
-                                     boundary_quotient=True)
+        neg = stages.run(tuple(range(m + 1)), boundary_quotient=True)
         ok_neg = not neg.passed
         reports.append(CheckReport(control, ok_neg,
                                    witness="" if ok_neg else

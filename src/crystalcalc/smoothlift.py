@@ -573,6 +573,8 @@ def build_homotopy(phi1: Morphism, phi2: Morphism, D: int) -> Homotopy:
     on both endpoints; for relation-bearing sources it is then Newton
     corrected, which leaves the endpoints untouched.
     """
+    if D < 1:
+        raise ValueError("D must be >= 1: the interval variables need degree 1")
     if phi1.source is not phi2.source or phi1.target is not phi2.target:
         if (phi1.source.name, phi1.target.name) != (phi2.source.name,
                                                     phi2.target.name):

@@ -409,6 +409,35 @@ def test_out_of_range_level_exits_2(capsys, argv, message):
     assert out.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "--algebra", "gm", "--N", "2", "--E", "4", "--M", "1"],
+    ["cris", "--algebra", "gm", "--N", "2", "--E", "4", "--M", "1"],
+    ["known", "--algebra", "gm", "--N", "2", "--E", "4", "--M", "1"],
+    ["dr", "--algebra", "a1", "--N", "2", "--E", "4", "--poincare-m", "2"],
+    ["homotopy", "--algebra", "gm", "--N", "3"],
+])
+def test_interval_levels_at_D_0_exit_2(capsys, argv):
+    # at D = 0 the level-m forms carry no T and no dT, so every column is a
+    # copy of column 0 and a check would pass (or fail) vacuously
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--p", "3", "--D", "0"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("usage error: D must be >= 1: the interval variables "
+                       "need degree 1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cris", "--algebra", "gm", "--N", "2", "--E", "4", "--M", "0"],
+    ["dr", "--algebra", "a1", "--N", "2", "--E", "4"],
+])
+def test_level_0_at_D_0_stays_legal(tmp_path, argv):
+    code, text = run_cli(argv + ["--p", "3", "--D", "0"], tmp_path)
+    assert code == 0
+    assert "D: 0" in text.splitlines()
+
+
 def test_fail_outranks_inconclusive():
     failed = CheckReport("a", False, witness="a failed")
     unsure = CheckReport("b", True, inconclusive=True, witness="b unsure")

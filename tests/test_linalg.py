@@ -562,6 +562,54 @@ def test_engine_matches_quadratic_reference(p, N):
             assert solver.solve(vec) == x
 
 
+# -- the projected kernel ------------------------------------------------------
+
+
+@pytest.mark.parametrize("p,N", [(2, 3), (3, 2), (5, 1), (3, 3)])
+def test_projected_kernel_is_the_projection_of_the_leading_rows(p, N):
+    # kernel(M, k): the first k coordinates, in order, of the Howell rows of
+    # kernel(M) that lead below k; rows scaled by p^e give p-torsion
+    ring = ZpN(p, N)
+    rng = random.Random(300 * p + N)
+    for _ in range(80):
+        nrows, ncols = rng.randint(0, 9), rng.randint(1, 6)
+        M = Matrix.from_row_dicts(
+            ring, _scaled_random_rows(ring, rng, nrows, ncols), ncols)
+        full = kernel(M)
+        assert kernel(M, nrows) == full
+        for k in range(nrows + 1):
+            want = [{j: v for j, v in row.items() if j < k}
+                    for row in full.row_dicts() if min(row) < k]
+            got = kernel(M, k)
+            assert (got.nrows, got.ncols) == (len(want), k)
+            assert got.row_dicts() == want
+            assert_rows_validated(got)
+        assert kernel(M, 0).nrows == 0
+
+
+@pytest.mark.parametrize("p,N", [(2, 2), (3, 1), (2, 3)])
+def test_projected_kernel_spans_the_projected_brute_force_kernel(p, N):
+    ring = ZpN(p, N)
+    rng = random.Random(400 * p + N)
+    for _ in range(10):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 3)
+        M = Matrix.from_row_dicts(
+            ring, _scaled_random_rows(ring, rng, nrows, ncols), ncols)
+        brute = brute_kernel(ring, to_dense(M), nrows, ncols)
+        for k in range(nrows + 1):
+            got = kernel(M, k)
+            span = enumerate_span(ring, to_dense(got), k) if got.nrows \
+                else {tuple([0] * k)}
+            assert span == {x[:k] for x in brute}
+
+
+def test_projected_kernel_rejects_a_projection_out_of_range():
+    M = Matrix.identity(ZpN(3, 2), 2)
+    for k in (-1, 3):
+        with pytest.raises(ValueError):
+            kernel(M, k)
+
+
 # -- row storage -------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ from itertools import permutations
 
 import pytest
 
+from crystalcalc import linalg, simplicial
 from crystalcalc.errors import (
     IncompatibleFaces,
     SignConventionViolation,
@@ -13,6 +14,7 @@ from crystalcalc.errors import (
     VarSpecMismatch,
 )
 from crystalcalc.linalg import HowellBasis, Matrix, kernel
+from crystalcalc.reports import merge_reports
 from crystalcalc.ring import ZpN
 from crystalcalc.series import GeomVar, PDSeries, pd_substitute
 from crystalcalc.simplicial import (
@@ -537,6 +539,95 @@ def test_regular_sequence_matches_the_buffered_reference(p, N):
                         (D, m, perm, bq)
                     checked[rep.passed] += 1
     assert checked[True] and checked[False]
+
+
+def _suite_parts(monkeypatch, p, N, D, m):
+    """The suite's report and the per-permutation and control reports that
+    it merged."""
+    parts = []
+
+    def recording(name, reports):
+        parts.extend(reports)
+        return merge_reports(name, reports)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(simplicial, "merge_reports", recording)
+        suite = regular_sequence_suite(p, N, D, m)
+    return suite, parts
+
+
+def _as_triple(rep):
+    return rep.passed, rep.witness, rep.details
+
+
+@pytest.mark.parametrize("p,N,D,m", [
+    (2, 1, 4, 1), (3, 2, 5, 1), (5, 3, 2, 1),
+    (2, 2, 5, 2), (3, 3, 4, 2), (5, 1, 3, 2),
+    (2, 2, 4, 3), (3, 1, 5, 3)])
+def test_suite_parts_equal_each_permutation_check(monkeypatch, p, N, D, m):
+    # a stage is shared by every permutation that reaches it, so the suite's
+    # part for a permutation must be that permutation's own check, and the
+    # reference that eliminates every stage again in the buffered ring
+    suite, parts = _suite_parts(monkeypatch, p, N, D, m)
+    perms = list(permutations(range(m + 1)))
+    assert len(parts) == len(perms) + 1
+    for perm, part in zip(perms, parts):
+        own = check_regular_sequence(p, N, D, m, perm)
+        assert _as_triple(part) == _as_triple(own), perm
+        assert _as_triple(part) == _buffered_regular_sequence(p, N, D, m,
+                                                              perm), perm
+    assert suite.status() == "pass", suite.witness
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("m,stages", [(1, 4), (2, 12), (3, 32)])
+def test_suite_eliminates_each_distinct_stage_once(monkeypatch, m, stages):
+    # (m+1) * 2^m distinct stages (S, j) instead of (m+1)! * (m+1), plus the
+    # control, which fails at its first stage; one tower, and each element's
+    # multiplication rows once (the control's product multiples are one more)
+    kernels = _count_calls(monkeypatch, linalg, "_kernel_pivots")
+    multiples = _count_calls(monkeypatch, LevelTower, "multiples")
+    towers = _count_calls(monkeypatch, LevelTower, "__init__")
+    rep = regular_sequence_suite(3, 2, 5, m)
+    assert rep.status() == "pass", rep.witness
+    assert (len(kernels), len(multiples), len(towers)) == \
+        (stages + 1, m + 2, 1)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_suite_finds_a_zero_divisor_like_each_permutation(monkeypatch, m):
+    # T1 replaced by T0: regular on its own, killed modulo (T0), so a
+    # permutation fails at the first stage after both T0 and T1 were used,
+    # and the suite must name the first failing permutation's witness
+    var_or_derived = LevelTower.var_or_derived
+    monkeypatch.setattr(
+        LevelTower, "var_or_derived",
+        lambda self, lvl, j: var_or_derived(self, lvl, 0 if j == 1 else j))
+    p, N, D = 3, 2, 4
+    suite, parts = _suite_parts(monkeypatch, p, N, D, m)
+    assert suite.status() == "fail"
+    perms = list(permutations(range(m + 1)))
+    own = [check_regular_sequence(p, N, D, m, perm) for perm in perms]
+    for perm, part, rep in zip(perms, parts, own):
+        assert _as_triple(part) == _as_triple(rep), perm
+        assert _as_triple(part) == _buffered_regular_sequence(p, N, D, m,
+                                                              perm), perm
+        later = max(perm.index(0), perm.index(1))
+        assert rep.details.get("stage") == later, perm
+    first_failure = next(rep for rep in own if not rep.passed)
+    assert suite.witness == first_failure.witness
+    assert first_failure.witness.startswith("stage 1 (element T1)")
 
 
 def test_negative_control_needs_the_product_in_the_window():
