@@ -32,7 +32,6 @@ from .crystal import (
 )
 from .derham import (
     DeRhamComplex,
-    PFSmObject,
     base_change_check,
     graded_cells,
     poincare_check,
@@ -78,7 +77,7 @@ __all__ = [
     "fill_boundary",
     "Presentation", "Morphism", "Homotopy", "catalog", "lift_algebra",
     "lift_morphism", "build_homotopy", "fill_mapping_boundary",
-    "PFSmObject", "DeRhamComplex", "graded_cells",
+    "DeRhamComplex", "graded_cells",
     "poincare_check", "base_change_check", "cech_descent_check",
     "DoubleComplex", "CohomologyReport",
     "cris", "compare_dr_cris", "known_values_check",

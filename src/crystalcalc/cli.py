@@ -261,13 +261,15 @@ def demo_morphisms(A: Presentation):
 
 
 def run_homotopy(args):
+    if (args.morphism1 is None) != (args.morphism2 is None):
+        raise ValueError("--morphism1 and --morphism2 must be given together")
     ring = ZpN(args.p, args.N)
     A = _load_algebra_arg(args, ring)
 
     def resolve(name):
         return load_algebra(name, ring, args.E)
 
-    if args.morphism1 and args.morphism2:
+    if args.morphism1 is not None:
         with open(args.morphism1, "r", encoding="utf-8") as fh:
             phi1 = parse_morphism(fh.read(), resolve, ring, args.E)
         with open(args.morphism2, "r", encoding="utf-8") as fh:
@@ -275,7 +277,7 @@ def run_homotopy(args):
     else:
         phi1, phi2 = demo_morphisms(A)
     h = build_homotopy(phi1, phi2, args.D)
-    body = [f"algebra: {A.name}", "endpoints: exact"]
+    body = [f"algebra: {phi1.source.name}", "endpoints: exact"]
     for n, s in sorted(h.images.items()):
         body.append(f"interval-image {n}: {s}")
     return write_report(args, "homotopy", "pass", body)

@@ -39,7 +39,7 @@ out, so no offset is computed here.
 
 from dataclasses import dataclass, field
 
-from .derham import (DeRhamComplex, FormBasis, PFSmObject, graded_cells,
+from .derham import (DeRhamComplex, FormBasis, graded_cells,
                      level0_complex, _no_certified_cells)
 from .errors import CatalogMismatch, SignConventionViolation
 from .linalg import (ElementaryDivisors, Matrix, _kernel_pivots, _subquotient,
@@ -72,7 +72,7 @@ class DoubleComplex:
         self.A = A
         self.M = M
         self.D = D
-        self.columns = [DeRhamComplex(PFSmObject(A, m, D)) for m in range(M + 1)]
+        self.columns = [DeRhamComplex(A, m, D) for m in range(M + 1)]
         self.tower = LevelTower(A.ring, D, geom=A.generators, E=A.E,
                                 divided=True, variant="interval")
         self._face_cache = {}

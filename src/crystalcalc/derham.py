@@ -45,34 +45,23 @@ class FormBasis(NamedTuple):
     K: tuple  # indices of interval differentials, strictly increasing
 
 
-class PFSmObject:
-    """A presentation with m divided-power interval variables adjoined."""
-
-    def __init__(self, base: Presentation, level: int, D: int):
-        self.base = base
-        self.level = level
-        self.D = D
-        names = tuple(f"T{i}" for i in range(level))
-        self.spec = VarSpec(base.ring, geom=base.generators, pd=names,
-                            E=base.E, D=D, divided=True)
-
-    def __repr__(self):
-        return f"PFSmObject({self.base.name}, level={self.level}, D={self.D})"
-
-
 class DeRhamComplex:
-    """The divided-power de Rham complex of a PFSmObject, graded or not.
+    """The divided-power de Rham complex of ``base`` with the divided-power
+    interval variables T_0..T_{level-1} adjoined, graded or not.
 
     ``grading=None`` treats the whole window as a single piece; an integer
     g selects the degree-g piece of a homogeneous presentation.
     """
 
-    def __init__(self, obj: PFSmObject):
-        self.obj = obj
-        self.base = obj.base
-        self.spec = obj.spec
-        self.ngeom = len(self.base.generators)
-        self.npd = obj.level
+    def __init__(self, base: Presentation, level: int, D: int):
+        self.base = base
+        self.level = level
+        self.D = D
+        self.spec = VarSpec(base.ring, geom=base.generators,
+                            pd=tuple(f"T{i}" for i in range(level)),
+                            E=base.E, D=D, divided=True)
+        self.ngeom = len(base.generators)
+        self.npd = level  # the interval variables T_0..T_{level-1}
         self.free_geom = [i for i, g in enumerate(self.base.generators)
                           if g.name not in self.base.witness]
         self._weights = tuple(g.weight for g in self.base.generators)
@@ -117,7 +106,7 @@ class DeRhamComplex:
                     xes = self._x_monomials() if g is None \
                         else self._x_by_degree().get(g - wJ, ())
                     for K in combinations(range(self.npd), nk):
-                        for te in t_monomials(self.npd, self.obj.D - nk):
+                        for te in t_monomials(self.npd, self.D - nk):
                             for xe in xes:
                                 out.append(FormBasis(xe, te, J, K))
             self._basis_cache[key] = sorted(out)
@@ -184,7 +173,7 @@ class DeRhamComplex:
         pres = self.base
         xe, te, J, K = b
         mod = self.spec.ring.modulus
-        D = self.obj.D
+        D = self.D
         row = {}
         wJ = sum(self._weights[j] for j in J)
         expected = self.degree(xe) + wJ if pres.is_homogeneous() else None
@@ -272,7 +261,7 @@ class DeRhamComplex:
             return {}
         nte = list(b.te)
         nte[w_star] += 1
-        if sum(nte) + len(b.K) - 1 > self.obj.D:
+        if sum(nte) + len(b.K) - 1 > self.D:
             return {}
         pos = len(b.J) + sum(1 for k in b.K if k < w_star)
         sign = -1 if pos % 2 else 1
@@ -325,7 +314,7 @@ def level0_complex(A: Presentation, D: int) -> DeRhamComplex:
     """
     cx = A.complexes.get(D)
     if cx is None:
-        cx = A.complexes[D] = DeRhamComplex(PFSmObject(A, 0, D))
+        cx = A.complexes[D] = DeRhamComplex(A, 0, D)
     return cx
 
 
@@ -414,12 +403,12 @@ def poincare_check(A: Presentation, m: int, D: int) -> CheckReport:
     cells = graded_cells(A, D)
     if not cells:
         return _no_certified_cells(name, A, {"m": m})
-    point = DeRhamComplex(PFSmObject(catalog("point", A.ring), m, D))
+    point = DeRhamComplex(catalog("point", A.ring), m, D)
     point.assert_complex()
     contraction = point.verify_contraction()
     if not contraction.passed:
         return merge_reports(name, [contraction])
-    col = DeRhamComplex(PFSmObject(A, m, D))
+    col = DeRhamComplex(A, m, D)
     base = level0_complex(A, D)
     reports = []
     for g in cells:
@@ -498,8 +487,8 @@ def base_change_check(A: Presentation, m: int, D: int) -> CheckReport:
     """The mod-p identification: the level-m complex over Z/p^N reduces mod
     p to the same complex built over Z/p, basis for basis."""
     name = f"base-change-{A.name}-m{m}"
-    cx = DeRhamComplex(PFSmObject(A, m, D))
-    small = DeRhamComplex(PFSmObject(A.at_precision(1), m, D))
+    cx = DeRhamComplex(A, m, D)
+    small = DeRhamComplex(A.at_precision(1), m, D)
     p = A.ring.p
     for q in range(cx.max_form_degree() + 1):
         if cx.basis(q) != small.basis(q):

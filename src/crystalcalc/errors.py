@@ -31,10 +31,6 @@ class SubstitutionOutsideIdeal(CrystalError):
     """A capped variable was mapped to a series with a unit constant term."""
 
 
-class NotDivisible(CrystalError):
-    """Coefficientwise division failed; witness is the offending monomial."""
-
-
 class NotInvertible(CrystalError):
     pass
 

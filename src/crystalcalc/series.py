@@ -13,14 +13,14 @@ T^[a] * T^[b] = binom(a+b, a) * T^[a+b].
 Monomials escaping a window or the total cap are discarded by arithmetic;
 callers choose caps large enough that the identities they assert are exact.
 Each series tracks its own effective p-adic precision ``prec`` (at most N);
-exact division by p lowers it rather than inventing digits.
+arithmetic keeps the smaller precision of its operands rather than
+inventing digits.
 """
 
 import math
 from typing import NamedTuple
 
 from .errors import (
-    NotDivisible,
     NotInvertible,
     SubstitutionOutsideIdeal,
     VarSpecMismatch,
@@ -312,16 +312,6 @@ class PDSeries:
             raise ValueError("cannot gain precision")
         return PDSeries(self.spec, self.terms, prec)
 
-    def lift_precision(self, prec):
-        """Reinterpret canonical representatives at a higher precision.
-
-        The extra digits are a deterministic choice, not information; only
-        use this when downstream observations are insensitive to them.
-        """
-        if prec < self.prec:
-            return self.reduce_precision(prec)
-        return PDSeries(self.spec, self.terms, prec)
-
     def change_ring(self, ring: ZpN):
         spec = self.spec.with_ring(ring)
         return PDSeries(spec, self.terms, min(self.prec, ring.N))
@@ -335,25 +325,6 @@ class PDSeries:
         return PDSeries(spec, {(xe, te + (0,) * (pad - len(te))): c
                                for (xe, te), c in self.terms.items()},
                         self.prec)
-
-    def divide_exact(self, c: int):
-        """Divide every coefficient by c; precision drops by val(c)."""
-        ring = self.spec.ring
-        v = ring.val(c % ring.modulus)
-        if v >= self.prec:
-            raise NotDivisible(f"divisor {c} has no precision left", witness=c)
-        unit = (c % ring.modulus) // ring.p ** v
-        inv = pow(unit, -1, ring.p ** (self.prec - v))
-        new_prec = self.prec - v
-        new_mod = ring.p ** new_prec
-        out = {}
-        for key, a in sorted(self.terms.items()):
-            if v and a % (ring.p ** v):
-                raise NotDivisible(
-                    f"coefficient {a} of {self.spec.monomial_name(*key)} "
-                    f"not divisible by p^{v}", witness=key)
-            out[key] = (a // ring.p ** v) * inv % new_mod
-        return PDSeries(self.spec, out, new_prec)
 
     # -- inversion ----------------------------------------------------
 

@@ -790,7 +790,7 @@ def regular_sequence_suite(p: int, N: int, D: int, m: int) -> CheckReport:
 
 def divide_by_variable_product(tower: LevelTower, m: int, g: PDSeries):
     """Solve  (T_0 * ... * T_m) * q = g  at level m and g's precision, or
-    return None.
+    return None.  At level 0 the product is the derived T_0 = p.
 
     The product is free of geometric variables, so the division splits over
     the geometric monomials of g and each piece is a small linear solve in
@@ -814,9 +814,10 @@ def fill_boundary(tower: LevelTower, m: int, faces, base: PDSeries) -> PDSeries:
 
     Faces are corrected one at a time through degeneracies; the remaining
     defect on the last face has all of its own faces zero and is repaired by
-    exact division, by p at m = 1 and by the full variable product of the
-    level below at m >= 2 (the quotient re-enters through the carrier
-    inclusion, which is a section of the last face).
+    exact division by the full variable product T_0 * ... * T_{m-1} of the
+    level below, which at level 0 is T_0 = p.  The quotient re-enters
+    through the carrier inclusion times T_0 * ... * T_{m-1}, which vanishes
+    on faces 0..m-1 and is the product again on the last face.
     """
     if tower.variant != "interval":
         raise ValueError("fillers are defined for the interval variant")
@@ -845,21 +846,14 @@ def fill_boundary(tower: LevelTower, m: int, faces, base: PDSeries) -> PDSeries:
                                         witness=g)
     if g.is_zero():
         return f
-    if m == 1:
-        # the divided coefficient is only determined at precision N-1; the
-        # canonical representative keeps both face evaluations exact
-        q = g.divide_exact(tower.ring.p)
-        correction = q.lift_precision(f.prec).embed(tower.spec(1)) \
-            .mul(tower.var(1, 0))
-    else:
-        q = divide_by_variable_product(tower, m - 1, g)
-        if q is None:
-            raise PrecisionExhausted(
-                "residual defect is not a product multiple at this precision",
-                witness=g)
-        correction = q.embed(tower.spec(m))
-        for i in range(m):
-            correction = correction.mul(tower.var(m, i))
+    q = divide_by_variable_product(tower, m - 1, g)
+    if q is None:
+        raise PrecisionExhausted(
+            "residual defect is not a product multiple at this precision",
+            witness=g)
+    correction = q.embed(tower.spec(m))
+    for i in range(m):
+        correction = correction.mul(tower.var(m, i))
     f = f.add(correction)
     for i in range(m + 1):
         if tower.face(m, i, f) != faces[i]:

@@ -10,7 +10,9 @@ rewrite rules supplied with the presentation.
 Morphisms store generator images in the target's carrier, possibly extended
 by interval variables T_0..T_{m-1} (an m-simplex of the mapping space).
 Lifting and filling are Newton iterations driven by the witness minor; the
-corrections vanish on faces, so boundary data is preserved exactly.
+corrections vanish on faces, so boundary data is preserved exactly.  A
+homotopy between congruent lifts is the m = 1 filler: its faces are the
+two lifts, at T0 = 0 and at T0 = p.
 """
 
 from .errors import (
@@ -24,7 +26,7 @@ from .errors import (
 )
 from .linalg import HowellBasis
 from .ring import ZpN
-from .series import GeomVar, PDSeries, VarSpec, pd_substitute
+from .series import GeomVar, PDSeries, VarSpec
 from .simplicial import LevelTower, fill_boundary, t_monomials
 
 
@@ -471,17 +473,6 @@ class Morphism:
         return {n: tower.reduction(self.level, img)
                 for n, img in sorted(self.images.items())}
 
-    def evaluate_interval(self, value: int) -> "Morphism":
-        """Specialize a 1-simplex at T = value (value must be 0 or p-like)."""
-        if self.level != 1:
-            raise ValueError("interval evaluation needs a level-1 morphism")
-        target_spec = self.target.carrier(D=self.D, level=0)
-        const = PDSeries.constant(target_spec, value, self.prec)
-        images = {n: pd_substitute(img, {"T0": const}, target_spec)
-                  for n, img in self.images.items()}
-        return Morphism(self.source, self.target, images, level=0,
-                        D=self.D, prec=self.prec, validate=False)
-
 
 def newton_correct(phi: Morphism) -> Morphism:
     """Drive the relation residuals of phi to zero by witness-minor Newton.
@@ -555,23 +546,24 @@ def lift_morphism(phibar_images: dict, A: Presentation, B: Presentation,
 
 
 class Homotopy(Morphism):
-    """A 1-simplex of the mapping space, with endpoint accessors."""
+    """A 1-simplex of the mapping space: face 0 is its end at T0 = 0 and
+    face 1 its end at T0 = p, the derived last variable of level 1."""
 
     @property
     def at_zero(self) -> Morphism:
-        return self.evaluate_interval(0)
+        return self.face(0)
 
     @property
     def at_pi(self) -> Morphism:
-        return self.evaluate_interval(self.target.ring.p)
+        return self.face(1)
 
 
 def build_homotopy(phi1: Morphism, phi2: Morphism, D: int) -> Homotopy:
     """An interval morphism restricting to phi1 at T = 0 and phi2 at T = p.
 
-    The first-order interpolation phi1 + T*(phi2 - phi1)/p is already exact
-    on both endpoints; for relation-bearing sources it is then Newton
-    corrected, which leaves the endpoints untouched.
+    This is the m = 1 filler of the mapping space with faces (phi1, phi2):
+    phi1 + T*(phi2 - phi1)/p, Newton corrected for relation-bearing
+    sources, which leaves the endpoints untouched.
     """
     if D < 1:
         raise ValueError("D must be >= 1: the interval variables need degree 1")
@@ -579,35 +571,13 @@ def build_homotopy(phi1: Morphism, phi2: Morphism, D: int) -> Homotopy:
         if (phi1.source.name, phi1.target.name) != (phi2.source.name,
                                                     phi2.target.name):
             raise ValueError("homotopy endpoints must be parallel morphisms")
-    src, tgt = phi1.source, phi1.target
-    p = tgt.ring.p
-    if phi1.reduction() != phi2.reduction():
+    base = phi1.reduction()
+    if base != phi2.reduction():
         raise NotCongruent("endpoint morphisms differ mod p",
                            witness=(phi1, phi2))
-    spec1 = tgt.carrier(D=D, level=1)
-    T = PDSeries.pd_var(spec1, "T0")
-    images = {}
-    for name in sorted(phi1.images):
-        a = phi1.images[name]
-        b = phi2.images[name]
-        slope = b.sub(a).divide_exact(p).lift_precision(a.prec)
-        images[name] = a.embed(spec1).add(slope.embed(spec1).mul(T))
-    h = Homotopy(src, tgt, images, level=1, D=D, prec=phi1.prec,
-                 validate=False)
-    if src.relations:
-        corrected = newton_correct(h)
-        h = Homotopy(src, tgt, corrected.images, level=1, D=D,
-                     prec=corrected.prec, validate=False)
-    h.require_units()
-    at_zero, at_pi = h.at_zero.images, h.at_pi.images
-    for name in sorted(phi1.images):
-        if at_zero[name] != phi1.images[name]:
-            raise PrecisionExhausted(f"endpoint T=0 mismatch on {name}",
-                                     witness=name)
-        if at_pi[name] != phi2.images[name]:
-            raise PrecisionExhausted(f"endpoint T=p mismatch on {name}",
-                                     witness=name)
-    return h
+    h = fill_mapping_boundary(1, [phi1, phi2], base, D)
+    return Homotopy(h.source, h.target, h.images, level=1, D=D, prec=h.prec,
+                    validate=False)
 
 
 def fill_mapping_boundary(m: int, faces, base: dict, D: int) -> Morphism:
@@ -615,12 +585,16 @@ def fill_mapping_boundary(m: int, faces, base: dict, D: int) -> Morphism:
 
     ``faces`` are m+1 compatible (m-1)-simplices, ``base`` the common mod-p
     reduction (a dict of reduction series); ``fill_boundary`` checks both,
-    generator by generator.  Generator images are filled
-    additively; relation-bearing sources are then Newton corrected through
-    the interval layers, which fixes the boundary pointwise.
+    generator by generator.  Generator images are filled additively, the
+    last face repaired by division by the variable product of level m-1
+    (at m = 1: T0 = p, so a homotopy is the m = 1 filler); relation-bearing
+    sources are then Newton corrected through the interval layers, which
+    fixes the boundary pointwise.
     """
     if m < 1 or m > 3:
         raise ValueError("mapping fillers are certified for m in 1..3")
+    if D < 1:
+        raise ValueError("D must be >= 1: the interval variables need degree 1")
     if len(faces) != m + 1:
         raise IncompatibleFaces(f"expected {m+1} faces, got {len(faces)}")
     first = faces[0]

@@ -203,6 +203,37 @@ def test_homotopy_with_morphism_files(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("flag", ["--morphism1", "--morphism2"])
+def test_lone_morphism_file_exits_2(tmp_path, capsys, flag):
+    # the demo pair must not stand in for a missing second file
+    path = tmp_path / "m1.mor"
+    path.write_text(MOR_TEXT, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["homotopy", "--p", "3", "--N", "3", "--D", "4",
+              flag, str(path)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("usage error: --morphism1 and --morphism2 must be "
+                       "given together\n")
+
+
+def test_homotopy_report_names_the_morphisms_source(tmp_path):
+    # with no --algebra the flag's default is gm; the report names a1
+    m1 = tmp_path / "m1.mor"
+    m2 = tmp_path / "m2.mor"
+    a1_text = MOR_TEXT.replace("gm", "a1")
+    m1.write_text(a1_text.replace("x^1=4", "x^1=1"), encoding="utf-8")
+    m2.write_text(a1_text.replace("x^1=4", "x^1=1, 1=3"), encoding="utf-8")
+    code, text = run_cli(["homotopy", "--p", "3", "--N", "3", "--D", "4",
+                          "--morphism1", str(m1), "--morphism2", str(m2)],
+                         tmp_path)
+    assert code == 0
+    lines = text.splitlines()
+    assert "algebra: a1" in lines and "algebra: gm" not in lines
+    assert "interval-image x: 1*T0 + 1*x" in lines
+
+
 def test_algebra_that_is_a_directory_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lift", "--algebra", str(tmp_path), "--p", "3"])
@@ -250,7 +281,7 @@ def test_dr_builds_each_level0_differential_once(monkeypatch, tmp_path):
     dmat = DeRhamComplex.dmat
 
     def counted(self, q, g=None):
-        if self.obj.level == 0 and (q, g) not in self._dmat_cache:
+        if self.level == 0 and (q, g) not in self._dmat_cache:
             builds.append((q, g))
         return dmat(self, q, g)
 

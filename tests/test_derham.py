@@ -8,7 +8,6 @@ import pytest
 from crystalcalc.derham import (
     DeRhamComplex,
     FormBasis,
-    PFSmObject,
     base_change_check,
     graded_cells,
     poincare_check,
@@ -31,7 +30,7 @@ R33 = ZpN(3, 3)
 def test_point_interval_complex():
     # base = coefficients only, one interval variable: T^[k] -> T^[k-1] dT
     A = catalog("point", R33)
-    cx = DeRhamComplex(PFSmObject(A, 1, D=4))
+    cx = DeRhamComplex(A, 1, D=4)
     b0 = cx.basis(0)
     b1 = cx.basis(1)
     assert len(b0) == 5      # T^[0..4]
@@ -45,7 +44,7 @@ def test_point_interval_complex():
 
 def test_a1_plain_de_rham():
     A = catalog("a1", R33, E=6)
-    cx = DeRhamComplex(PFSmObject(A, 0, D=0))
+    cx = DeRhamComplex(A, 0, D=0)
     cx.assert_complex()
     # graded degree 3: H^0 = ker(*3) = Z/3 and H^1 = coker(*3) = Z/3;
     # graded degree 4 involves *4, a unit, so both vanish
@@ -57,7 +56,7 @@ def test_a1_plain_de_rham():
 
 def test_gm_de_rham_graded_zero():
     A = catalog("gm", R33, E=6)
-    cx = DeRhamComplex(PFSmObject(A, 0, D=0))
+    cx = DeRhamComplex(A, 0, D=0)
     # the class of dx/x is not exact: graded degree 0 of H^1 is free
     h1 = cx.cohomology(1, 0)
     assert h1.exponents == (3,)
@@ -67,7 +66,7 @@ def test_gm_de_rham_graded_zero():
 
 def test_d_squared_zero_gm_level2():
     A = catalog("gm", R33, E=5)
-    cx = DeRhamComplex(PFSmObject(A, 2, D=4))
+    cx = DeRhamComplex(A, 2, D=4)
     for g in (-2, 0, 3):
         cx.assert_complex(g)
 
@@ -75,10 +74,9 @@ def test_d_squared_zero_gm_level2():
 def test_leibniz_seeded():
     # d(fg) = f dg + g df, via multiplication in the coefficient ring
     A = catalog("gm", R33, E=8)
-    obj = PFSmObject(A, 1, D=5)
-    cx = DeRhamComplex(obj)
+    cx = DeRhamComplex(A, 1, D=5)
     rng = random.Random(3)
-    spec = obj.spec
+    spec = cx.spec
 
     def rand_fn(nterms=3):
         terms = {}
@@ -108,7 +106,7 @@ def test_leibniz_seeded():
             coeff_mono = PDSeries(spec, {(b.xe, b.te): v})
             prod = f.mul(coeff_mono)
             for (xe, te), c in prod.terms.items():
-                if sum(te) + 1 > obj.D:
+                if sum(te) + 1 > cx.D:
                     continue
                 idx = cx.basis(1).index(FormBasis(xe, te, b.J, b.K))
                 rhs[idx] = (rhs.get(idx, 0) + c) % 27
@@ -117,7 +115,7 @@ def test_leibniz_seeded():
             coeff_mono = PDSeries(spec, {(b.xe, b.te): v})
             prod = g.mul(coeff_mono)
             for (xe, te), c in prod.terms.items():
-                if sum(te) + 1 > obj.D:
+                if sum(te) + 1 > cx.D:
                     continue
                 idx = cx.basis(1).index(FormBasis(xe, te, b.J, b.K))
                 rhs[idx] = (rhs.get(idx, 0) + c) % 27
@@ -127,7 +125,7 @@ def test_leibniz_seeded():
 
 def test_hypersurface_frame_d_squared():
     A = catalog("ell-3-1-2", R33, E=8)
-    cx = DeRhamComplex(PFSmObject(A, 0, D=0))
+    cx = DeRhamComplex(A, 0, D=0)
     # Omega^1 is free on dy (the x-differential is witness-solved)
     assert all(b.J == (1,) for b in cx.basis(1))
     cx.assert_complex()
@@ -138,7 +136,7 @@ def test_hypersurface_frame_d_squared():
 
 def test_contraction_identity_point_m2():
     A = catalog("point", R33)
-    cx = DeRhamComplex(PFSmObject(A, 2, D=4))
+    cx = DeRhamComplex(A, 2, D=4)
     rep = cx.verify_contraction()
     assert rep.passed, rep.witness
 
@@ -154,8 +152,8 @@ def _divisors_agree(A, m, D):
     """The elimination comparison: in every certified cell and form degree,
     the level-m divisors equal the level-0 ones (zero above level 0's top
     degree)."""
-    col = DeRhamComplex(PFSmObject(A, m, D))
-    base = DeRhamComplex(PFSmObject(A, 0, D))
+    col = DeRhamComplex(A, m, D)
+    base = DeRhamComplex(A, 0, D)
     empty = ElementaryDivisors(A.ring.p, A.ring.N, [])
     return all(
         col.cohomology(q, g) == (base.cohomology(q, g)
@@ -194,7 +192,7 @@ def test_poincare_fails_on_scaled_interval_free_row(monkeypatch):
         return Matrix.from_row_dicts(M.ring, rows, M.ncols)
 
     monkeypatch.setattr(DeRhamComplex, "dmat", dmat)
-    assert DeRhamComplex(PFSmObject(A, 1, 4)).verify_contraction(1).passed
+    assert DeRhamComplex(A, 1, 4).verify_contraction(1).passed
     assert not _divisors_agree(A, 1, 4)
     rep = poincare_check(A, 1, D=4)
     assert not rep.passed
@@ -257,9 +255,9 @@ def _tensor_assembly(col, base, point, q, g):
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_level_m_differential_is_the_tensor_assembly(name, ring, E, D, m):
     A = _algebra(name, ring, E)
-    col = DeRhamComplex(PFSmObject(A, m, D))
-    base = DeRhamComplex(PFSmObject(A, 0, D))
-    point = DeRhamComplex(PFSmObject(catalog("point", ring), m, D))
+    col = DeRhamComplex(A, m, D)
+    base = DeRhamComplex(A, 0, D)
+    point = DeRhamComplex(catalog("point", ring), m, D)
     for g in graded_cells(A, D):
         for q in range(col.max_form_degree() + 1):
             assert col.dmat(q, g) == _tensor_assembly(col, base, point, q,
@@ -333,7 +331,7 @@ def test_poincare_fails_on_plus_one_in_a_row_with_interval_variables(
         row[j] += 1
 
     _corrupt_level_m_row(monkeypatch, 1, 0, 2, form, change)
-    assert not DeRhamComplex(PFSmObject(A, 1, 4)).verify_contraction(2).passed
+    assert not DeRhamComplex(A, 1, 4).verify_contraction(2).passed
     rep = poincare_check(A, 1, D=4)
     assert not rep.passed
     assert rep.witness == (f"d on {form} is not d_0 (x) 1 + (-1)^|J| 1 (x) "
@@ -521,7 +519,7 @@ def test_poincare_m3_point():
 
 def test_contraction_m3_with_geometry():
     A = catalog("gm", R33, E=3)
-    cx = DeRhamComplex(PFSmObject(A, 3, D=3))
+    cx = DeRhamComplex(A, 3, D=3)
     rep = cx.verify_contraction(1)
     assert rep.passed, rep.witness
 
@@ -551,7 +549,7 @@ def _d_row_multiplying_by_one(cx, b, index):
             sign = -1 if sum(1 for j in b.J if j < w) % 2 else 1
             val = pres.reduce(coeff.mul(factor.embed(spec)))
             cx._distribute(val, tuple(sorted(b.J + (w,))), b.K, sign, index,
-                           row, cx.obj.D, expected)
+                           row, cx.D, expected)
     for w in range(cx.npd):
         if not b.te[w] or w in b.K:
             continue
@@ -559,7 +557,7 @@ def _d_row_multiplying_by_one(cx, b, index):
         nte[w] -= 1
         sign = -1 if (len(b.J) + sum(1 for k in b.K if k < w)) % 2 else 1
         cx._distribute(PDSeries(spec, {(b.xe, tuple(nte)): 1}), b.J,
-                       tuple(sorted(b.K + (w,))), sign, index, row, cx.obj.D,
+                       tuple(sorted(b.K + (w,))), sign, index, row, cx.D,
                        expected)
     return row
 
@@ -587,7 +585,7 @@ def _algebra(name, ring, E):
 
 @pytest.mark.parametrize("name,ring,E,m,D,degrees", CELL_CASES)
 def test_dmat_matches_multiplication_by_one(name, ring, E, m, D, degrees):
-    cx = DeRhamComplex(PFSmObject(_algebra(name, ring, E), m, D))
+    cx = DeRhamComplex(_algebra(name, ring, E), m, D)
     for g in degrees:
         for q in range(cx.max_form_degree() + 1):
             src, tgt = cx.basis(q, g), cx.basis(q + 1, g)
@@ -600,7 +598,7 @@ def test_dmat_matches_multiplication_by_one(name, ring, E, m, D, degrees):
 @pytest.mark.parametrize("name,ring,E,m,D,degrees", CELL_CASES)
 def test_basis_matches_whole_window_filter(name, ring, E, m, D, degrees):
     A = _algebra(name, ring, E)
-    cx = DeRhamComplex(PFSmObject(A, m, D))
+    cx = DeRhamComplex(A, m, D)
     window = [range(-E if g.kind == "laurent" else 0, E + 1)
               for g in A.generators]
     xes = [xe for xe in product(*window) if A.is_normal_monomial(xe)]
@@ -624,7 +622,7 @@ def test_basis_matches_whole_window_filter(name, ring, E, m, D, degrees):
 def test_contraction_fails_on_corrupted_cached_differential():
     A = catalog("a1", R33, E=4)
     g = 2
-    cx = DeRhamComplex(PFSmObject(A, 2, D=3))
+    cx = DeRhamComplex(A, 2, D=3)
     assert cx.verify_contraction(g).passed
     # corrupt one entry whose target the contraction does not kill
     src = cx.basis(1, g)
@@ -641,7 +639,7 @@ def test_contraction_fails_on_corrupted_cached_differential():
 
 def test_contraction_fails_on_flipped_kappa_sign(monkeypatch):
     A = catalog("gm", R33, E=3)
-    cx = DeRhamComplex(PFSmObject(A, 2, D=3))
+    cx = DeRhamComplex(A, 2, D=3)
     kappa = DeRhamComplex.kappa_of_basis
 
     def flipped(self, b, target_index):

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from crystalcalc.errors import (
-    NotDivisible,
     NotInvertible,
     SubstitutionOutsideIdeal,
     VarSpecMismatch,
@@ -217,35 +216,6 @@ def test_substitution_is_ring_hom_seeded():
         sg = pd_substitute(g, images, target)
         assert pd_substitute(f.add(g), images, target) == sf.add(sg)
         assert pd_substitute(f.mul(g), images, target) == sf.mul(sg)
-
-
-# -- exact division -----------------------------------------------------
-
-
-def test_divide_exact_px():
-    spec = spec_xt(p=3, N=3)
-    x = PDSeries.geom_var(spec, "x")
-    f = x.scale(3)
-    g = f.divide_exact(3)
-    assert g.prec == 2
-    assert g.terms == {((1,), (0,)): 1}
-
-
-def test_divide_exact_coefficientwise():
-    # (p^2 + p*T^[1]) / p = p + T^[1] at precision N-1
-    spec = spec_1t(p=3, N=3)
-    f = PDSeries.constant(spec, 9).add(PDSeries.pd_var(spec, "T").scale(3))
-    g = f.divide_exact(3)
-    assert g.prec == 2
-    assert g == PDSeries.constant(spec, 3, prec=2).add(PDSeries.pd_var(spec, "T", prec=2))
-
-
-def test_divide_exact_rejects_unit():
-    spec = spec_xt(p=3, N=3)
-    f = PDSeries.one(spec).add(PDSeries.geom_var(spec, "x").scale(3))
-    with pytest.raises(NotDivisible) as err:
-        f.divide_exact(3)
-    assert err.value.witness == ((0,), (0,))
 
 
 # -- inversion ----------------------------------------------------------

@@ -717,6 +717,35 @@ def test_fill_roundtrip(m):
             assert product_multiple_defect(tw, m, diff) <= slack
 
 
+@pytest.mark.parametrize("geometric", [False, True], ids=["point", "gm"])
+def test_fill_m1_is_the_degeneracy_plus_the_slope(geometric):
+    # the level-0 variable product is T0 = p, so the m = 1 filler of (a, b)
+    # is s0(a) + ((b - a)/p) * T0, here divided on the integer coefficients
+    ring = ZpN(3, 3)
+    p = ring.p
+    if geometric:
+        tw = LevelTower(ring, 4, geom=catalog("gm", ring, E=2).generators,
+                        E=2)
+        xes = [(-2,), (0,), (1,)]
+    else:
+        tw = LevelTower(ring, 4)
+        xes = [()]
+    spec0 = tw.spec(0)
+    rng = random.Random(11)
+    for prec in range(1, ring.N + 1):
+        for _ in range(6):
+            a = PDSeries(spec0, {(xe, ()): rng.randrange(ring.modulus)
+                                 for xe in xes if rng.random() < 0.7}, prec)
+            b = a.add(PDSeries(spec0, {(xe, ()): p * rng.randrange(9)
+                                       for xe in xes if rng.random() < 0.7},
+                               prec))
+            f = fill_boundary(tw, 1, [a, b], tw.reduction(0, a))
+            slope = {(xe, (1,)): c // p
+                     for (xe, _te), c in b.sub(a).terms.items()}
+            assert f == tw.degeneracy(0, 0, a).add(
+                PDSeries(tw.spec(1), slope, prec))
+
+
 def test_fill_incompatible_faces_rejected():
     tw = tower33()
     g = rand_element(tw, 2, random.Random(1))

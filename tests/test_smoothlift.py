@@ -5,11 +5,13 @@ import random
 import pytest
 
 import crystalcalc.smoothlift as smoothlift
-from crystalcalc.derham import DeRhamComplex, PFSmObject
+from crystalcalc.cli import demo_morphisms
+from crystalcalc.derham import DeRhamComplex
 from crystalcalc.errors import (
     IncompatibleFaces,
     NotCongruent,
     NotInvertible,
+    PrecisionExhausted,
     WitnessNotInvertible,
 )
 from crystalcalc.ring import ZpN
@@ -169,7 +171,7 @@ def test_witness_solve_inverts_the_minor(make):
 def test_frame_solves_the_relation_differentials(make):
     # each relation f has df = 0: df/dx_v + sum_s df/dx_s frame[s][v] = 0
     A = make(R33)
-    cx = DeRhamComplex(PFSmObject(A, 0, D=0))
+    cx = DeRhamComplex(A, 0, D=0)
     frame = cx.frame()
     assert sorted(frame) == sorted(A.gen_names.index(w) for w in A.witness)
     spec = A.carrier()
@@ -447,6 +449,94 @@ def test_homotopy_with_relations_unit_pair():
     assert h.residuals()[0].is_zero()
 
 
+def _interpolated_homotopy(phi1, phi2, D):
+    """phi1 + T*(phi2 - phi1)/p, the division done on the integer
+    coefficients, then Newton corrected when the source has relations."""
+    src, tgt = phi1.source, phi1.target
+    p = tgt.ring.p
+    spec1 = tgt.carrier(D=D, level=1)
+    T = PDSeries.pd_var(spec1, "T0")
+    images = {}
+    for name, a in phi1.images.items():
+        diff = phi2.images[name].sub(a)
+        assert all(c % p == 0 for c in diff.terms.values())
+        slope = PDSeries(spec1, {(xe, (0,)): c // p
+                                 for (xe, _te), c in diff.terms.items()},
+                         a.prec)
+        images[name] = a.embed(spec1).add(slope.mul(T))
+    h = Morphism(src, tgt, images, level=1, D=D, prec=phi1.prec,
+                 validate=False)
+    return smoothlift.newton_correct(h) if src.relations else h
+
+
+def random_pair(A, rng):
+    """Two lifts of one self-map of gm or a1 that agree mod p."""
+    p, mod = A.ring.p, A.ring.modulus
+    spec = A.carrier()
+    x = PDSeries.geom_var(spec, "x")
+
+    def series(lo, hi, scale, prob):
+        return PDSeries(spec, {((k,), ()): scale * rng.randrange(mod // scale)
+                               for k in range(lo, hi) if rng.random() < prob})
+
+    if A.name == "gm":
+        first = x.mul(PDSeries.one(spec).add(series(-2, 3, p, 0.5)))
+        bump = series(-1, 3, p, 0.5)
+    else:
+        first = x.add(series(0, 4, 1, 0.7))
+        bump = series(0, 4, p, 0.7)
+    return Morphism(A, A, {"x": first}), Morphism(A, A, {"x": first.add(bump)})
+
+
+def _assert_interpolates(phi1, phi2, D):
+    h = build_homotopy(phi1, phi2, D)
+    expected = _interpolated_homotopy(phi1, phi2, D)
+    assert h.images == expected.images
+    assert h.prec == expected.prec
+    assert repr(h) == repr(expected)
+    assert h.at_zero.images == phi1.images
+    assert h.at_pi.images == phi2.images
+
+
+@pytest.mark.parametrize("D", [1, 4, 9])
+def test_homotopy_is_the_interpolation_on_random_pairs(D):
+    rng = random.Random(D)
+    for name in ("gm", "a1"):
+        A = catalog(name, R33)
+        for _ in range(6):
+            _assert_interpolates(*random_pair(A, rng), D)
+
+
+def test_homotopy_is_the_corrected_interpolation_on_the_unit_pair():
+    A = unit_pair_presentation(R33, E=8)
+    gen = generator_images(A, A.carrier())
+    phi1 = Morphism(A, A, gen)
+    phi2 = Morphism(A, A, {"x": gen["x"].scale(4),
+                           "y": gen["y"].scale(pow(4, -1, 27))})
+    for D in (2, 4, 9):
+        _assert_interpolates(phi1, phi2, D)
+    # at D = 1 the corrected y needs T^2 terms, so its end at T = p is lost
+    with pytest.raises(PrecisionExhausted, match="face 1"):
+        build_homotopy(phi1, phi2, D=1)
+
+
+@pytest.mark.parametrize("name,p,N,D", [
+    ("gm", 3, 3, 4), ("gm", 5, 2, 7), ("a1", 3, 3, 4), ("a1", 2, 4, 6),
+    ("ell-3-1-2", 3, 3, 4), ("ell-3-1-2", 3, 2, 2)])
+def test_homotopy_is_the_interpolation_on_the_demo_morphisms(name, p, N, D):
+    _assert_interpolates(*demo_morphisms(catalog(name, ZpN(p, N))), D)
+
+
+def test_homotopy_mod_p_is_the_degenerate_simplex():
+    # over Z/p the two ends agree and face 1 is T0 = p = 0: the filler is
+    # s0 of the end
+    A = catalog("gm", ZpN(3, 1))
+    phi = identity_morphism(A)
+    h = build_homotopy(phi, phi, D=3)
+    assert h.images == phi.degeneracy(0, D=3).images
+    assert h.at_zero.images == h.at_pi.images == phi.images
+
+
 def test_homotopy_rejects_incongruent():
     A = catalog("a1", R33)
     spec = A.carrier()
@@ -486,7 +576,17 @@ def test_fill_mapping_boundary_m1_matches_homotopy():
     filled = fill_mapping_boundary(1, [phi1, phi2], phi1.reduction(), D=5)
     assert filled.face(0).images == phi1.images
     assert filled.face(1).images == phi2.images
-    assert filled.evaluate_interval(0).images == phi1.images
+    assert filled.images == h.images
+
+
+def test_fill_mapping_boundary_needs_interval_degree():
+    # at D = 0 level 1 has no T0, so no repair could match face 1
+    A = catalog("gm", R33)
+    phi1 = identity_morphism(A)
+    phi2 = Morphism(A, A, {"x": phi1.images["x"].scale(4)})
+    with pytest.raises(ValueError, match="D must be >= 1: the interval "
+                                         "variables need degree 1"):
+        fill_mapping_boundary(1, [phi1, phi2], phi1.reduction(), D=0)
 
 
 def test_fill_mapping_roundtrip_m2_gm():
