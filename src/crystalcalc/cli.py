@@ -25,7 +25,7 @@ from .crystal import (  # compare_dr_cris: perfbench checks its rebinding here
     known_values_check,
 )
 from .derham import base_change_check, poincare_check
-from .errors import CrystalError, NotACover
+from .errors import CrystalError, NotACover, PrecisionExhausted
 from .localized import cech_descent_check
 from .reports import merge_reports
 from .ring import ZpN
@@ -174,11 +174,16 @@ def _load_algebra_arg(args, ring: ZpN) -> Presentation:
     """
     A = load_algebra(args.algebra, ring,
                      DEFAULT_E if args.E is None else args.E)
+    _adopt_window(args, A, args.algebra)
+    return A
+
+
+def _adopt_window(args, A: Presentation, label: str):
+    """The report header shows A's window; an explicit ``--E`` must agree."""
     if args.E is not None and A.E != args.E:
         raise ValueError(f"--E {args.E} disagrees with the window {A.E} "
-                         f"of {args.algebra}")
+                         f"of {label}")
     args.E = A.E
-    return A
 
 
 # -- report output ------------------------------------------------------------
@@ -264,19 +269,29 @@ def run_homotopy(args):
     if (args.morphism1 is None) != (args.morphism2 is None):
         raise ValueError("--morphism1 and --morphism2 must be given together")
     ring = ZpN(args.p, args.N)
-    A = _load_algebra_arg(args, ring)
-
-    def resolve(name):
-        return load_algebra(name, ring, args.E)
-
-    if args.morphism1 is not None:
-        with open(args.morphism1, "r", encoding="utf-8") as fh:
-            phi1 = parse_morphism(fh.read(), resolve, ring, args.E)
-        with open(args.morphism2, "r", encoding="utf-8") as fh:
-            phi2 = parse_morphism(fh.read(), resolve, ring, args.E)
+    if args.morphism1 is None:
+        phi1, phi2 = demo_morphisms(_load_algebra_arg(args, ring))
     else:
-        phi1, phi2 = demo_morphisms(A)
-    h = build_homotopy(phi1, phi2, args.D)
+        # the morphisms' source is the algebra: --algebra is not read
+        E = DEFAULT_E if args.E is None else args.E
+
+        def resolve(name):
+            return load_algebra(name, ring, E)
+
+        with open(args.morphism1, "r", encoding="utf-8") as fh:
+            phi1 = parse_morphism(fh.read(), resolve, ring, E)
+        with open(args.morphism2, "r", encoding="utf-8") as fh:
+            phi2 = parse_morphism(fh.read(), resolve, ring, E)
+        _adopt_window(args, phi1.source, f"the morphisms' source "
+                                         f"{phi1.source.name}")
+    try:
+        h = build_homotopy(phi1, phi2, args.D)
+    except PrecisionExhausted as exc:
+        # the filler needs interval degree above the cap: nothing was shown
+        return write_report(
+            args, "homotopy", "inconclusive", [],
+            f"no homotopy within the interval degree cap D = {args.D} "
+            f"(PrecisionExhausted: {exc})")
     body = [f"algebra: {phi1.source.name}", "endpoints: exact"]
     for n, s in sorted(h.images.items()):
         body.append(f"interval-image {n}: {s}")

@@ -35,6 +35,25 @@ that have that layout.
 Tot^i, N and [d | F] are named pieces on the blocks (m, q) of Tot^i (and
 (m, q, i) for the i-th face of a block); ``linalg.block_matrix`` lays them
 out, so no offset is computed here.
+
+Cells with one layout often have isomorphic double complexes, and then
+share one Tot elimination.  Let S scale each level-0 form x^a dx_J of cell
+g by a unit s(a, J), with d_0(g) S = S d_0(g0) for an earlier cell g0 of
+the layout (forms matched through the layout pairs).  Column m is the
+level-0 complex tensored with the point's, d_m = d_0 (x) 1 + (-1)^|J|
+1 (x) d_T, so S (x) 1 - x^a T^[b] dx_J dT_K scaled by s(a, J) - commutes
+with d_m: with d_0 (x) 1 through S, and with 1 (x) d_T because d_T keeps
+x^a dx_J.  The faces act on T and dT alone, so they join forms of one
+(x^a, J) and commute with S (x) 1 too, and so do their sums and the
+normalized rows, which are one matrix per layout.  S (x) 1 is then an
+isomorphism of the normalized totalizations of g0 and g at every
+truncation, and the two cells have one cohomology in every degree.
+
+None of this is assumed: the scaling is proposed on level 0 and certified
+on the matrices that the elimination reads - every ``dmat`` of every
+column of g against S times g0's, entry by entry, and every face entry of
+the layout joining one (x^a, J).  A failed certificate only means that g
+is eliminated on its own.
 """
 
 from dataclasses import dataclass, field
@@ -61,6 +80,13 @@ class DoubleComplex:
     that share a layout, and so is the Moore check (per M as well).  These
     caches are shared with the views that ``truncated`` hands out; the
     totalization depends on M and g and keeps a cache of its own.
+
+    Each graded cell has a ``representative``: an earlier cell of its
+    layout whose normalized totalization is isomorphic to the cell's through
+    a certified unit scaling S (x) 1 of the forms (see the module notes), or
+    the cell itself when no earlier cell is certified.  Only representatives
+    are eliminated.  The classes are certified on all columns of the
+    complex built here, so the views, which keep fewer columns, read them.
     """
 
     def __init__(self, A: Presentation, M: int, D: int):
@@ -76,9 +102,13 @@ class DoubleComplex:
         self.tower = LevelTower(A.ring, D, geom=A.generators, E=A.E,
                                 divided=True, variant="interval")
         self._face_cache = {}
+        self._ranks = {}
         self._layouts = {}
         self._hmat_cache = {}
         self._tot_cache = {}
+        self._full = None  # set on views: the complex that certifies classes
+        self._classes = {}  # g -> (representative, unit scaling or None)
+        self._representatives = {}  # layout -> its representatives in order
 
     def truncated(self, M):
         """The same double complex cut at column M <= self.M."""
@@ -87,6 +117,7 @@ class DoubleComplex:
         view.M = M
         view.columns = self.columns[:M + 1]
         view._tot_cache = {}
+        view._full = self._full or self
         return view
 
     # -- face maps on forms ------------------------------------------------
@@ -124,8 +155,14 @@ class DoubleComplex:
             pairs = [(b.xe, b.J) for q in range(col.max_form_degree() + 1)
                      for b in col.basis(q, g)]
             rank = {xe: r for r, xe in enumerate(sorted({xe for xe, _ in pairs}))}
+            self._ranks[g] = rank
             self._layouts[g] = tuple(sorted((rank[xe], J) for xe, J in pairs))
         return self._layouts[g]
+
+    def _pair(self, b, g):
+        """The layout pair (rank of x^a, J) of a basis form of cell g."""
+        self.layout(g)
+        return self._ranks[g][b.xe], b.J
 
     def face_matrix(self, m, i, q, g=None) -> Matrix:
         """The i-th face on q-forms, column m to column m-1."""
@@ -238,6 +275,100 @@ class DoubleComplex:
         return CheckReport("commuting-squares", True,
                            details={"M": self.M, "graded": g})
 
+    # -- cells with isomorphic totalizations ---------------------------------
+
+    def representative(self, g=None):
+        """(g0, s): the cell whose elimination serves g, and the certified
+        unit scaling of the layout pairs that carries g0's complex to g's
+        (None when g0 is g itself).
+
+        The candidates are the earlier representatives of g's layout, in
+        order; the first whose proposed scaling is certified is taken.  A
+        cell with no certified candidate becomes a representative.
+        """
+        full = self._full or self
+        if g not in full._classes:
+            reps = full._representatives.setdefault(full.layout(g), [])
+            for g0 in reps:
+                s = full._unit_scaling(g, g0)
+                if s is not None and full._intertwines(g, g0, s):
+                    full._classes[g] = (g0, s)
+                    break
+            else:
+                reps.append(g)
+                full._classes[g] = (g, None)
+        return full._classes[g]
+
+    def _unit_scaling(self, g, g0):
+        """A proposed s with d_0(g) S = S d_0(g0) on level 0, or None.
+
+        Walks the level-0 differentials of the two cells row by row: they
+        must have one support and, entry by entry, one valuation.  An entry
+        p^e u of g against p^e u0 of g0 asks s(column) = s(row) u0 / u; the
+        first entry that reaches a pair assigns it, and a pair that no
+        assigned pair reaches starts at 1.
+        """
+        col = self.columns[0]
+        ring = self.A.ring
+        mod = ring.modulus
+        s = {}
+        for q in range(col.max_form_degree() + 1):
+            src, tgt = col.basis(q, g), col.basis(q + 1, g)
+            for b, row, row0 in zip(src, col.dmat(q, g)._rows,
+                                    col.dmat(q, g0)._rows):
+                if row.keys() != row0.keys():
+                    return None
+                here = self._pair(b, g)
+                for c, v in row.items():
+                    e = ring.val(v)
+                    if ring.val(row0[c]) != e:
+                        return None
+                    ratio = row0[c] // ring.p ** e * \
+                        ring.unit_inverse(v // ring.p ** e) % mod
+                    there = self._pair(tgt[c], g)
+                    if here not in s:
+                        s[here] = s[there] * ring.unit_inverse(ratio) % mod \
+                            if there in s else 1
+                    s.setdefault(there, s[here] * ratio % mod)
+        return s
+
+    def _intertwines(self, g, g0, s):
+        """The certificate: d_m(q, g) S = S d_m(q, g0) for every column m
+        and form degree q, S scaling each form by s of its layout pair, and
+        the faces join forms of one pair (so they commute with S).  S must
+        be a unit on every pair to be an isomorphism."""
+        ring = self.A.ring
+        if any(v % ring.p == 0 for v in s.values()):
+            return False
+        mod = ring.modulus
+        for col in self.columns:
+            scale = [[s.get(self._pair(b, g), 1) for b in col.basis(q, g)]
+                     for q in range(col.max_form_degree() + 2)]
+            for q in range(col.max_form_degree() + 1):
+                here, there = scale[q], scale[q + 1]
+                for r, (row, row0) in enumerate(zip(col.dmat(q, g)._rows,
+                                                    col.dmat(q, g0)._rows)):
+                    if {c: v * there[c] % mod for c, v in row.items()} != \
+                            {c: here[r] * v % mod for c, v in row0.items()}:
+                        return False
+        return self._faces_fix_pairs(g)
+
+    def _faces_fix_pairs(self, g):
+        """Every face entry joins two forms of one (x^a, J); kept per
+        (M, layout), as the faces are."""
+        key = ("pairs", self.M, self.layout(g))
+        if key not in self._hmat_cache:
+            self._hmat_cache[key] = all(
+                (src[r].xe, src[r].J) == (tgt[c].xe, tgt[c].J)
+                for m in range(1, self.M + 1)
+                for q in range(self.columns[m].max_form_degree() + 1)
+                for src, tgt in [(self.columns[m].basis(q, g),
+                                  self.columns[m - 1].basis(q, g))]
+                for i in range(m + 1)
+                for r, row in enumerate(self.face_matrix(m, i, q, g)._rows)
+                for c in row)
+        return self._hmat_cache[key]
+
     # -- totalization ------------------------------------------------------
 
     def tot_blocks(self, i):
@@ -338,6 +469,14 @@ class DoubleComplex:
 
     def total_cohomology(self, i, g=None) -> ElementaryDivisors:
         """Cohomology of the normalized truncated totalization at degree i.
+
+        The divisors are those of g's ``representative``, eliminated once
+        per truncation.
+        """
+        return self._eliminate(i, self.representative(g)[0])
+
+    def _eliminate(self, i, g):
+        """The divisors of Tot^i of cell g, by elimination, kept per (i, g).
 
         The cocycles come as the Howell pivots of one left kernel in Tot^i
         coordinates; ``_subquotient`` certifies that every normalized

@@ -824,6 +824,8 @@ def fill_boundary(tower: LevelTower, m: int, faces, base: PDSeries) -> PDSeries:
     if m == 0:
         lifted = PDSeries(base.spec.with_ring(tower.ring), base.terms)
         return lifted.embed(tower.spec(0))
+    if tower.D < 1:
+        raise ValueError("D must be >= 1: the interval variables need degree 1")
     if len(faces) != m + 1:
         raise IncompatibleFaces(f"expected {m+1} faces, got {len(faces)}")
     if not faces_compatible(tower, m, faces):

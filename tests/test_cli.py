@@ -234,6 +234,62 @@ def test_homotopy_report_names_the_morphisms_source(tmp_path):
     assert "interval-image x: 1*T0 + 1*x" in lines
 
 
+def _pairtorus_morphisms(tmp_path):
+    """x -> x, y -> y and the unit pair x -> 4x, y -> 7y (4 * 7 = 1 mod 27)
+    on the presentation file of PRES_TEXT, whose window is 5."""
+    pres = tmp_path / "pairtorus.pres"
+    pres.write_text(PRES_TEXT, encoding="utf-8")
+    paths = []
+    for name, (a, b) in (("p1.mor", (1, 1)), ("p2.mor", (4, 7))):
+        path = tmp_path / name
+        path.write_text(f"schema: crystalcalc/1\nkind: morphism\n"
+                        f"source: {pres}\ntarget: {pres}\n"
+                        f"image: x = x^1={a}\nimage: y = y^1={b}\n",
+                        encoding="utf-8")
+        paths.append(str(path))
+    return ["--morphism1", paths[0], "--morphism2", paths[1]]
+
+
+@pytest.mark.parametrize("extra", [[], ["--E", "5"]])
+def test_homotopy_header_shows_the_morphisms_window(tmp_path, extra):
+    # the --algebra default gm has window 6; the morphisms' source has 5
+    code, text = run_cli(["homotopy", "--p", "3", "--N", "3", "--D", "2"]
+                         + extra + _pairtorus_morphisms(tmp_path), tmp_path)
+    assert code == 0
+    lines = text.splitlines()
+    assert "status: pass" in lines and "algebra: pairtorus" in lines
+    assert "E: 5" in lines and "E: 6" not in lines
+
+
+def test_homotopy_explicit_E_that_disagrees_with_the_window_exits_2(
+        tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["homotopy", "--p", "3", "--N", "3", "--D", "2", "--E", "4"]
+             + _pairtorus_morphisms(tmp_path))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage error: --E 4 disagrees with the "
+                              "window 5 ")
+    assert out.err.count("\n") == 1
+
+
+def test_homotopy_beyond_the_interval_cap_is_inconclusive(tmp_path):
+    # the Newton-corrected y needs T0^2: D = 1 cannot hold it, D = 2 can
+    code, text = run_cli(["homotopy", "--p", "3", "--N", "3", "--D", "1"]
+                         + _pairtorus_morphisms(tmp_path), tmp_path)
+    assert code == 1
+    lines = text.splitlines()
+    assert "status: inconclusive" in lines[:4]
+    witness = next(ln for ln in lines if ln.startswith("witness: "))
+    assert "interval degree cap D = 1" in witness
+    assert "PrecisionExhausted" in witness
+    code, text = run_cli(["homotopy", "--p", "3", "--N", "3", "--D", "2"]
+                         + _pairtorus_morphisms(tmp_path), tmp_path)
+    assert code == 0
+    assert "interval-image y: 1*y + 26*y*T0 + 1*y*T0^2" in text.splitlines()
+
+
 def test_algebra_that_is_a_directory_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lift", "--algebra", str(tmp_path), "--p", "3"])

@@ -11,8 +11,8 @@ from crystalcalc.crystal import (
     known_values_check,
     oracle_divisors,
 )
-from crystalcalc.cli import main
-from crystalcalc.derham import FormBasis, graded_cells
+from crystalcalc.cli import main, parse_presentation
+from crystalcalc.derham import DeRhamComplex, FormBasis, graded_cells
 from crystalcalc.errors import ContainmentViolation, SignConventionViolation
 from crystalcalc.linalg import (ElementaryDivisors, HowellBasis, Matrix,
                                 _kernel_pivots, kernel, subquotient)
@@ -22,6 +22,7 @@ from crystalcalc.simplicial import LevelTower, SimplexMap
 from crystalcalc.smoothlift import catalog, unit_pair_presentation
 
 from dense_matrices import assert_rows_validated, to_dense
+from test_cli import PRES_TEXT
 
 R33 = ZpN(3, 3)
 
@@ -423,21 +424,26 @@ def test_truncated_view_matches_fresh_complex(monkeypatch, name, p, N, E):
     for g in gs:
         for i in degrees:
             assert view.tot_matrix(i, g) == fresh.tot_matrix(i, g), (i, g)
-    # the view totalizes its own M - 1 columns instead of reading M's cells
+    reps = {dc.representative(g)[0] for g in gs}
+    assert len(reps) < len(gs)
+    # the view totalizes its own M - 1 columns, once per class
+    # representative, instead of reading M's cells
     totalized = []
     tot_matrix = DoubleComplex.tot_matrix
 
     def recording(self, i, g=None):
-        totalized.append(self)
+        if self is view:
+            totalized.append((i, g))
         return tot_matrix(self, i, g)
 
     monkeypatch.setattr(DoubleComplex, "tot_matrix", recording)
     for g in gs:
+        assert view.representative(g) is dc.representative(g)
         for i in degrees:
-            totalized.clear()
-            got = view.total_cohomology(i, g)
-            assert view in totalized, (i, g)
-            assert got == fresh.total_cohomology(i, g), (i, g)
+            assert view.total_cohomology(i, g) == \
+                fresh.total_cohomology(i, g), (i, g)
+    assert sorted(totalized) == sorted((i - 1, g0) for g0 in reps
+                                       for i in degrees)
 
 
 def test_tot_matrix_built_once_per_complex():
@@ -622,3 +628,146 @@ def test_augmentation_check_catches_a_corrupted_column0_row(where):
     rep = dc.augmentation_is_chain_map(g)
     assert not rep.passed
     assert "q=0" in rep.witness
+
+
+# -- one elimination per class of isomorphic cells --------------------------------
+
+
+def _oracle_case(name, p, N, E):
+    ring = ZpN(p, N)
+    if name == "pairtorus":
+        return parse_presentation(PRES_TEXT, ring, E)
+    return catalog(name, ring, E=E)
+
+
+@pytest.mark.parametrize("name,p,N,D,E,M", [
+    ("gm", 3, 3, 4, 9, 2),
+    ("gm", 2, 4, 4, 9, 3),
+    ("a1", 3, 3, 4, 9, 2),
+    ("pairtorus", 3, 3, 4, 5, 2),
+])
+def test_shared_divisors_equal_each_cells_own_elimination(name, p, N, D, E,
+                                                           M):
+    # a cell asked first on a fresh complex is its own representative, so
+    # its divisors come from its own elimination
+    A = _oracle_case(name, p, N, E)
+    report = cris(A, M, D)
+    gs = graded_cells(A, D)
+    dc = DoubleComplex(A, M, D)
+    assert len({dc.representative(g)[0] for g in gs}) < len(gs)
+    for g in gs:
+        fresh = DoubleComplex(A, M, D)
+        assert fresh.representative(g) == (g, None)
+        for (i, cell), divs in report.cells.items():
+            if cell != g:
+                continue
+            assert divs == fresh.total_cohomology(i, g), (i, g)
+            if name != "pairtorus":
+                assert divs == oracle_divisors(name, i, g, A.ring), (i, g)
+
+
+def test_cells_share_a_representative_when_their_valuations_agree():
+    ring = ZpN(3, 3)
+    A = catalog("gm", ring, E=9)
+    dc = DoubleComplex(A, 2, 4)
+    gs = graded_cells(A, 4)
+    assert gs == list(range(-8, 10))
+    rep = {g: dc.representative(g)[0] for g in gs}
+    for g in gs:
+        for h in gs:
+            assert (rep[g] == rep[h]) == (ring.val(g) == ring.val(h)), (g, h)
+    assert len(set(rep.values())) == 4
+    # a member's scaling is a unit on every layout pair
+    g0, s = dc.representative(2)
+    assert g0 == -8 and s and all(v % 3 for v in s.values())
+    assert dc.representative(-8) == (-8, None)
+
+
+def test_level0_mismatch_is_rejected_before_the_certificate(monkeypatch):
+    # another valuation (g = 3 against g = 1) or another support (g = 0)
+    # fails the level-0 walk; the certificate runs only on proposals
+    certified = []
+    original = DoubleComplex._intertwines
+
+    def recording(self, g, g0, s):
+        certified.append((g, g0))
+        return original(self, g, g0, s)
+
+    monkeypatch.setattr(DoubleComplex, "_intertwines", recording)
+    dc = DoubleComplex(catalog("gm", ZpN(3, 3), E=9), 2, 4)
+    for g in (1, 3, 0):
+        assert dc.representative(g) == (g, None)
+    assert certified == []
+    assert dc.representative(2)[0] == 1
+    assert certified == [(2, 1)]
+
+
+def test_member_with_a_changed_representative_is_eliminated_alone(
+        monkeypatch):
+    # one level-1 entry of the representative g = 1 scaled by the unit 4:
+    # level 0 still proposes a scaling for g = 2, the level-1 comparison
+    # refuses it, and g = 2 is eliminated on its own
+    ring = ZpN(3, 3)
+    A = catalog("gm", ring, E=9)
+    original = DeRhamComplex.dmat
+
+    def changed(self, q, g=None):
+        mat = original(self, q, g)
+        if (self.level, q, g) != (1, 0, 1):
+            return mat
+        rows = mat.row_dicts()
+        c = min(rows[0])
+        rows[0][c] = rows[0][c] * (1 + ring.p)
+        return Matrix.from_row_dicts(ring, rows, mat.ncols)
+
+    monkeypatch.setattr(DeRhamComplex, "dmat", changed)
+    dc = DoubleComplex(A, 2, 4)
+    assert dc.representative(1) == (1, None)
+    assert dc._unit_scaling(2, 1) is not None
+    assert dc.representative(2) == (2, None)
+    for i in range(2):
+        assert dc.total_cohomology(i, 2) == oracle_divisors("gm", i, 2, ring)
+    # g = 4 is certified against the unchanged g = 2
+    assert dc.representative(4)[0] == 2
+
+
+def test_a_view_asked_first_certifies_on_every_column(monkeypatch):
+    certified = []
+    original = DoubleComplex._intertwines
+
+    def recording(self, g, g0, s):
+        certified.append(len(self.columns))
+        return original(self, g, g0, s)
+
+    monkeypatch.setattr(DoubleComplex, "_intertwines", recording)
+    A = catalog("gm", ZpN(3, 2), E=4)
+    dc = DoubleComplex(A, 2, 3)
+    view = dc.truncated(1)
+    assert view.representative(1) == (1, None)
+    assert view.representative(2)[0] == 1
+    assert certified == [3]
+    assert dc.representative(2) is view.representative(2)
+    assert view.total_cohomology(0, 2) == DoubleComplex(A, 1, 3) \
+        .total_cohomology(0, 2)
+
+
+def test_a_face_that_moves_a_layout_pair_stops_the_sharing(monkeypatch):
+    # a face entry from x^g dT to x^(g-1) dx joins two layout pairs, so no
+    # scaling of the pairs need commute with it: every cell stands alone
+    original = DoubleComplex._build_face_matrix
+
+    def moving(self, m, i, q, g):
+        mat = original(self, m, i, q, g)
+        if (m, i, q) != (1, 1, 1):
+            return mat
+        rows = mat.row_dicts()
+        r = next(k for k, b in enumerate(self.columns[1].basis(1, g)) if b.K)
+        rows[r][0] = 1
+        return Matrix.from_row_dicts(self.A.ring, rows, mat.ncols)
+
+    monkeypatch.setattr(DoubleComplex, "_build_face_matrix", moving)
+    dc = DoubleComplex(catalog("gm", ZpN(3, 3), E=9), 2, 4)
+    assert dc.representative(1) == (1, None)
+    assert dc._unit_scaling(2, 1) is not None
+    assert dc.representative(2) == (2, None)
+    assert not dc._faces_fix_pairs(2)

@@ -756,6 +756,18 @@ def test_fill_incompatible_faces_rejected():
         fill_boundary(tw, 2, bad, red)
 
 
+def test_fill_at_D0_is_a_usage_error():
+    # at D = 0 the level-1 correction q*T0 has no room: a ValueError, as
+    # the interval checks raise, and not PrecisionExhausted
+    tw = LevelTower(ZpN(3, 3), 0)
+    faces = [PDSeries.zero(tw.spec(0)), PDSeries.constant(tw.spec(0), 3)]
+    base = tw.reduction(0, PDSeries.zero(tw.spec(0)))
+    with pytest.raises(ValueError, match="D must be >= 1"):
+        fill_boundary(tw, 1, faces, base)
+    # level 0 needs no interval variable
+    assert fill_boundary(tw, 0, [], base).is_zero()
+
+
 def test_fill_rejects_wrong_base():
     tw = tower33()
     faces = [PDSeries.zero(tw.spec(0)), PDSeries.constant(tw.spec(0), 3)]
