@@ -305,7 +305,7 @@ def run_dr(args):
     if args.poincare_m:
         reports.append(poincare_check(A, args.poincare_m, args.D))
     if args.base_change:
-        reports.append(base_change_check(A, min(args.M or 1, 2), args.D))
+        reports.append(base_change_check(A, args.M, args.D))
     if args.cech:
         if len(A.generators) != 1 or A.generators[0].kind != "poly" \
                 or A.relations:

@@ -47,11 +47,7 @@ class FormBasis(NamedTuple):
 
 class DeRhamComplex:
     """The divided-power de Rham complex of ``base`` with the divided-power
-    interval variables T_0..T_{level-1} adjoined, graded or not.
-
-    ``grading=None`` treats the whole window as a single piece; an integer
-    g selects the degree-g piece of a homogeneous presentation.
-    """
+    interval variables T_0..T_{level-1} adjoined, graded or not."""
 
     def __init__(self, base: Presentation, level: int, D: int):
         self.base = base
@@ -60,7 +56,6 @@ class DeRhamComplex:
         self.spec = VarSpec(base.ring, geom=base.generators,
                             pd=tuple(f"T{i}" for i in range(level)),
                             E=base.E, D=D, divided=True)
-        self.ngeom = len(base.generators)
         self.npd = level  # the interval variables T_0..T_{level-1}
         self.free_geom = [i for i, g in enumerate(self.base.generators)
                           if g.name not in self.base.witness]
@@ -367,6 +362,16 @@ def _no_certified_cells(name, A: Presentation, details) -> CheckReport:
                        details=dict(details, cells=0))
 
 
+def _check_level(m: int, D: int):
+    """The levels the checks take: 0 <= m <= 3, and D >= 1 at m >= 1."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    if m > 3:
+        raise ValueError("m above 3 is not certified (cost control)")
+    if m >= 1 and D < 1:
+        raise ValueError("D must be >= 1: the interval variables need degree 1")
+
+
 def poincare_check(A: Presentation, m: int, D: int) -> CheckReport:
     """Adjoining interval variables does not change cohomology.
 
@@ -393,12 +398,7 @@ def poincare_check(A: Presentation, m: int, D: int) -> CheckReport:
     level-0 complex, and the divisors agree in every degree (and vanish
     above level 0's top degree).
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if m > 3:
-        raise ValueError("m above 3 is not certified (cost control)")
-    if m >= 1 and D < 1:
-        raise ValueError("D must be >= 1: the interval variables need degree 1")
+    _check_level(m, D)
     name = f"poincare-{A.name}-m{m}"
     cells = graded_cells(A, D)
     if not cells:
@@ -485,7 +485,9 @@ def _tensor_mismatch(col: DeRhamComplex, base: DeRhamComplex,
 
 def base_change_check(A: Presentation, m: int, D: int) -> CheckReport:
     """The mod-p identification: the level-m complex over Z/p^N reduces mod
-    p to the same complex built over Z/p, basis for basis."""
+    p to the same complex built over Z/p, basis for basis.  It takes the
+    levels that ``poincare_check`` takes."""
+    _check_level(m, D)
     name = f"base-change-{A.name}-m{m}"
     cx = DeRhamComplex(A, m, D)
     small = DeRhamComplex(A.at_precision(1), m, D)

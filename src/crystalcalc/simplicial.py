@@ -21,7 +21,10 @@ term c*x^a*T^te then goes to c*x^a times that image.  The image has no x,
 since sigma fixes the geometric variables, so every product term keeps the
 x-monomial x^a of the input: it stays inside the window, and an input in
 quotient normal form gives an output in normal form, with no reduction.
-``face_matrix`` writes a face in coordinates from the same cache.
+``form_image`` is the one action of a map on interval forms T^[te] dT_K:
+T^[te] through the cache, each dT_k to the linear part of T_k's image, the
+wedge sorted with its sign.  ``face_matrix`` is its K = () case, and the
+double complex of ``crystal`` places it next to each form's x^a dx_J.
 
 The simplicial identity check builds the structure images of each face and
 degeneracy once per check.  Every image is affine in the T variables (a sum
@@ -44,6 +47,7 @@ on S only through the span of its rows, so ``regular_sequence_suite``
 checks each distinct stage once, (m+1)*2^m of them for the (m+1)! orders.
 """
 
+from bisect import bisect_left
 from itertools import permutations
 
 from .errors import (IncompatibleFaces, PrecisionExhausted,
@@ -145,6 +149,7 @@ class LevelTower:
         self.variant = variant
         self._specs = {}
         self._t_images = {}
+        self._linear_parts = {}
         self._products = {}
         self._product_spaces = {}
         self._indices = {}
@@ -213,6 +218,33 @@ class LevelTower:
         if images is None:
             images = self._t_images[sigma] = {}
         return images
+
+    def form_image(self, sigma: SimplexMap, te, K=()) -> dict:
+        """The image of the interval form T^[te] dT_K under sigma, as
+        {(te', K'): c} with K' increasing.
+
+        T^[te] goes to its cached ``t_image``, and each dT_k to the linear
+        part of T_k's image, read by ``_affine_parts`` once per sigma.  The
+        wedge is expanded one factor at a time (``_wedge_factor``).
+        """
+        img = self.t_image(sigma, te)
+        if not K:
+            return {(tp, K): c for (_xe, tp), c in img.terms.items()}
+        dt_images = self._linear_parts.get(sigma)
+        if dt_images is None:
+            images = self.structure_images(sigma)
+            dt_images = self._linear_parts[sigma] = [
+                sorted(_affine_parts(images[f"T{k}"])[1])
+                for k in range(self.nvars(sigma.m))]
+        wedge = {(): 1}
+        for k in K:
+            wedge = _wedge_factor(wedge, dt_images[k])
+        mod = self.ring.modulus
+        out = {}
+        for Kp, s in wedge.items():
+            for (_xe, tp), c in img.terms.items():
+                out[(tp, Kp)] = (out.get((tp, Kp), 0) + s * c) % mod
+        return {key: c for key, c in out.items() if c}
 
     def apply_map(self, sigma: SimplexMap, f: PDSeries) -> PDSeries:
         """f under the ring map of sigma: x^a T^te goes to x^a t_image(te)."""
@@ -337,15 +369,13 @@ class LevelTower:
     def face_matrix(self, m, i) -> Matrix:
         """Face i from level m to level m-1 in coordinates.
 
-        One row per ``basis(m)`` monomial T^te: the cached ``t_image`` of
-        T^te under the coface, over ``basis(m-1)``.
+        One row per ``basis(m)`` monomial T^te: its ``form_image`` under the
+        coface, the K = () case, over ``basis(m-1)``.
         """
         sigma = SimplexMap.coface(m, i)
         index = self._index(m - 1)
-        rows = []
-        for te in self.basis(m):
-            img = self.t_image(sigma, te)
-            rows.append({index[t]: c for (_xe, t), c in img.terms.items()})
+        rows = [{index[t]: c for (t, _K), c in self.form_image(sigma, te).items()}
+                for te in self.basis(m)]
         return Matrix._trusted(self.ring, rows, len(index))
 
     def product_multiples(self, m):
@@ -388,6 +418,21 @@ def _affine_parts(f: PDSeries):
         else:
             const = c
     return const, linear
+
+
+def _wedge_factor(wedge: dict, linear) -> dict:
+    """wedge ^ (sum of c dT_w over the (w, c) in linear), as {K: c}: each
+    dT_K ^ dT_w is sorted by moving dT_w left past the K above w, one sign
+    change per factor."""
+    out = {}
+    for K, s in wedge.items():
+        for w, c in linear:
+            if w in K:
+                continue
+            at = bisect_left(K, w)
+            key = K[:at] + (w,) + K[at:]
+            out[key] = out.get(key, 0) + (-s if (len(K) - at) % 2 else s) * c
+    return out
 
 
 def compose_affine(images: dict, then_images: dict, target: VarSpec) -> dict:

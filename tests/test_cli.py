@@ -331,6 +331,18 @@ def test_dr_verb_poincare_and_base_change(tmp_path):
     assert "check: base-change-gm-m1" in text
 
 
+@pytest.mark.parametrize("M", ["0", "2", "3"])
+def test_dr_base_change_certifies_the_level_M(tmp_path, M):
+    # --M is the level of the mod-p identification, as given
+    code, text = run_cli(["dr", "--p", "3", "--N", "2", "--D", "3",
+                          "--E", "4", "--algebra", "a1", "--M", M,
+                          "--base-change"], tmp_path)
+    lines = text.splitlines()
+    assert code == 0
+    assert f"M: {M}" in lines
+    assert f"check: base-change-a1-m{M}" in lines
+
+
 def test_dr_builds_each_level0_differential_once(monkeypatch, tmp_path):
     # the Poincare check and the divisor report share one level-0 complex
     builds = []
@@ -485,6 +497,8 @@ def test_zero_certified_cells_is_inconclusive(tmp_path, argv):
     (["dr", "--algebra", "a1", "--poincare-m", "-1"], "m must be >= 0"),
     (["verify-simplicial", "--m-max", "-1"], "m_max must be >= 0"),
     (["verify-simplicial", "--D", "0"], "D must be >= 1"),
+    (["dr", "--algebra", "a1", "--D", "3", "--E", "4", "--M", "4",
+      "--base-change"], "m above 3 is not certified"),
 ])
 def test_out_of_range_level_exits_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -501,6 +515,7 @@ def test_out_of_range_level_exits_2(capsys, argv, message):
     ["cris", "--algebra", "gm", "--N", "2", "--E", "4", "--M", "1"],
     ["known", "--algebra", "gm", "--N", "2", "--E", "4", "--M", "1"],
     ["dr", "--algebra", "a1", "--N", "2", "--E", "4", "--poincare-m", "2"],
+    ["dr", "--algebra", "gm", "--N", "2", "--E", "4", "--base-change"],
     ["homotopy", "--algebra", "gm", "--N", "3"],
 ])
 def test_interval_levels_at_D_0_exit_2(capsys, argv):
@@ -518,6 +533,8 @@ def test_interval_levels_at_D_0_exit_2(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["cris", "--algebra", "gm", "--N", "2", "--E", "4", "--M", "0"],
     ["dr", "--algebra", "a1", "--N", "2", "--E", "4"],
+    ["dr", "--algebra", "a1", "--N", "2", "--E", "4", "--M", "0",
+     "--base-change"],
 ])
 def test_level_0_at_D_0_stays_legal(tmp_path, argv):
     code, text = run_cli(argv + ["--p", "3", "--D", "0"], tmp_path)

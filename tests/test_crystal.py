@@ -294,6 +294,24 @@ def test_face_with_geometric_image_is_rejected(monkeypatch, name):
         dc.face_matrix(1, 1, 0, g)
 
 
+def test_dt_image_of_T_degree_2_is_rejected(monkeypatch):
+    # the dT's go to the linear parts of the structure images, which must be
+    # affine: a T0^2 term in T0's image stops the face on 1-forms
+    original = LevelTower.structure_images
+
+    def squared(self, sigma):
+        images = original(self, sigma)
+        t0 = PDSeries.pd_var(self.spec(sigma.n), "T0")
+        images["T0"] = images["T0"].add(t0.mul(t0))
+        return images
+
+    monkeypatch.setattr(LevelTower, "structure_images", squared)
+    dc = DoubleComplex(catalog("point", R33), 2, D=3)
+    with pytest.raises(SignConventionViolation,
+                       match="^structure image is not affine linear$"):
+        dc.face_matrix(2, 0, 1)
+
+
 # -- face-side matrices shared by cell layout -----------------------------------
 
 

@@ -274,7 +274,7 @@ def test_poincare_fails_on_a_flipped_sign_of_the_point_kappa(monkeypatch):
 
     def kappa_of_basis(self, b, target_index):
         row = kappa(self, b, target_index)
-        if self.ngeom == 0 and b == flipped:
+        if not self.base.generators and b == flipped:
             row = {k: -v % self.spec.ring.modulus for k, v in row.items()}
         return row
 
@@ -292,7 +292,7 @@ def _corrupt_level_m_row(monkeypatch, m, q, g, form, change):
 
     def dmat(self, q_, g_=None):
         M = original(self, q_, g_)
-        if (self.npd, self.ngeom, q_, g_) != (m, 1, q, g):
+        if (self.npd, len(self.base.generators), q_, g_) != (m, 1, q, g):
             return M
         rows = M.row_dicts()
         change(rows[self.basis(q, g).index(form)], self.basis(q + 1, g))
@@ -348,7 +348,7 @@ def test_poincare_fails_when_a_level_m_form_is_not_a_pair(monkeypatch):
     def basis(self, q, g=None):
         out = original(self, q, g)
         return [b for b in out if b != dropped] \
-            if (self.npd, self.ngeom) == (1, 1) else out
+            if (self.npd, len(self.base.generators)) == (1, 1) else out
 
     monkeypatch.setattr(DeRhamComplex, "basis", basis)
     rep = poincare_check(A, 1, D=4)
@@ -385,6 +385,18 @@ def test_base_change(name, m):
     A = catalog(name, R33, E=4)
     rep = base_change_check(A, m, D=3)
     assert rep.passed, rep.witness
+
+
+@pytest.mark.parametrize("m,D,message", [
+    (-1, 3, "m must be >= 0"),
+    (4, 3, "m above 3 is not certified"),
+    (1, 0, "D must be >= 1"),
+])
+def test_base_change_takes_the_levels_of_the_poincare_check(m, D, message):
+    A = catalog("gm", ZpN(3, 2), E=3)
+    for check in (poincare_check, base_change_check):
+        with pytest.raises(ValueError, match=message):
+            check(A, m, D)
 
 
 def test_base_change_fails_on_unit_change_of_one_entry(monkeypatch):
@@ -535,7 +547,7 @@ def _d_row_multiplying_by_one(cx, b, index):
     if pres.is_homogeneous():
         expected = cx.degree(b.xe) + sum(pres.generators[v].weight for v in b.J)
     row = {}
-    for v in range(cx.ngeom):
+    for v in range(len(cx.base.generators)):
         nxe = list(b.xe)
         nxe[v] -= 1
         if not b.xe[v] or not spec.fits_geom(tuple(nxe)):

@@ -2,7 +2,7 @@
 
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -146,6 +146,85 @@ def test_face_matrix_rows_are_the_faces_of_basis_monomials(variant, divided,
                 assert face == pd_substitute(mono, images, tower.spec(m - 1))
                 assert row == {lower.index(t): c
                                for (_xe, t), c in face.terms.items()}
+
+
+def _reference_form_image(tower, sigma, te, K):
+    """T^[te] dT_K under sigma by full substitution, as {(te', K'): c}.
+
+    T^[te] goes through ``pd_substitute`` whole.  dT_K goes to the sum over
+    increasing target sets W of det(A[K, W]) dT_W, A[k][w] the T_w
+    coefficient of T_k's image, the determinant by the Leibniz formula.
+    """
+    src, tgt = tower.spec(sigma.m), tower.spec(sigma.n)
+    images = tower.structure_images(sigma)
+    coeff = pd_substitute(PDSeries(src, {(src.zero_x(), te): 1}), images, tgt)
+    A = [{t.index(1): c for (_xe, t), c in images[f"T{k}"].terms.items()
+          if sum(t) == 1} for k in K]
+    mod = tower.ring.modulus
+    out = {}
+    for W in combinations(range(tower.nvars(sigma.n)), len(K)):
+        det = 0
+        for perm in permutations(range(len(K))):
+            term = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+            for row, col in enumerate(perm):
+                term *= A[row].get(W[col], 0)
+            det += term
+        for (_xe, t), c in coeff.terms.items():
+            v = (out.get((t, W), 0) + det * c) % mod
+            if v:
+                out[(t, W)] = v
+            else:
+                out.pop((t, W), None)
+    return out
+
+
+def _interval_forms(tower, m):
+    """Every (te, K) with K increasing and |te| + |K| <= D at level m."""
+    n = tower.nvars(m)
+    return [(te, K) for k in range(n + 1) for K in combinations(range(n), k)
+            for te in t_monomials(n, tower.D - k)]
+
+
+def _structure_maps(levels):
+    return [SimplexMap.coface(m, i) for m in levels for i in range(m + 1)] + \
+        [SimplexMap.codegeneracy(m, i) for m in levels for i in range(m + 1)]
+
+
+@pytest.mark.parametrize("variant", ["interval", "free"])
+@pytest.mark.parametrize("divided", [False, True])
+def test_form_image_matches_full_substitution(variant, divided):
+    tower = LevelTower(ZpN(3, 2), 3, divided=divided, variant=variant)
+    checked = signed = 0
+    for sigma in _structure_maps(range(1, 4)):
+        for te, K in _interval_forms(tower, sigma.m):
+            want = _reference_form_image(tower, sigma, te, K)
+            assert tower.form_image(sigma, te, K) == want, (sigma, te, K)
+            checked += 1
+            signed += len(K) >= 2 and bool(want)
+    # nonzero images of forms with two or more dT's, where the sign shows
+    assert (checked, signed) == \
+        ((682, 82) if variant == "interval" else (1510, 242))
+
+
+def test_form_image_without_the_permutation_sign_fails(monkeypatch):
+    # negative control: the same expansion with every product sorted but no
+    # sign change must disagree with the determinant somewhere
+    def unsigned(wedge, linear):
+        out = {}
+        for K, s in wedge.items():
+            for w, c in linear:
+                if w not in K:
+                    key = tuple(sorted(K + (w,)))
+                    out[key] = out.get(key, 0) + s * c
+        return out
+
+    monkeypatch.setattr(simplicial, "_wedge_factor", unsigned)
+    tower = LevelTower(ZpN(3, 2), 3, divided=True)
+    bad = [(sigma, te, K) for sigma in _structure_maps(range(1, 4))
+           for te, K in _interval_forms(tower, sigma.m)
+           if tower.form_image(sigma, te, K)
+           != _reference_form_image(tower, sigma, te, K)]
+    assert bad and all(len(K) >= 2 for _sigma, _te, K in bad)
 
 
 @pytest.mark.parametrize("p", [2, 3])
