@@ -299,6 +299,10 @@ def run_homotopy(args):
 
 
 def run_dr(args):
+    if args.M is None:
+        args.M = 1
+    elif not args.base_change:
+        raise ValueError("--M is read only by --base-change")
     ring = ZpN(args.p, args.N)
     A = _load_algebra_arg(args, ring)
     reports = []
@@ -355,8 +359,11 @@ def run_compare(args):
     # one double complex: the divisor report reuses the compared cells
     dc = DoubleComplex(A, args.M, args.D)
     rep = _compare_dr_cris(dc)
-    divisors = _cris(dc, degrees=range(0, max(args.M, 1)), seed=args.seed)
-    body = rep.lines() + divisors.lines()
+    body = rep.lines()
+    # a failed structural check leaves no complex to take divisors of
+    if rep.passed or "000:structural-invariants" in rep.details:
+        body += _cris(dc, degrees=range(0, max(args.M, 1)),
+                      seed=args.seed).lines()
     return write_report(args, "compare", rep.status(), body, rep.witness)
 
 
@@ -417,7 +424,9 @@ def build_parser():
     sp.set_defaults(func=run_homotopy)
 
     sp = sub.add_parser("dr", help="de Rham complex and optional checks")
-    common(sp, M_default=1)
+    common(sp)
+    sp.add_argument("--M", type=int, default=None,
+                    help="level of the --base-change check (default 1)")
     sp.add_argument("--poincare-m", dest="poincare_m", type=int, default=0)
     sp.add_argument("--base-change", dest="base_change", action="store_true")
     sp.add_argument("--cech", type=str, default=None,

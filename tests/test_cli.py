@@ -510,6 +510,20 @@ def test_out_of_range_level_exits_2(capsys, argv, message):
     assert out.err.count("\n") == 1
 
 
+def test_dr_M_without_base_change_exits_2(tmp_path, capsys):
+    # only the base-change check reads --M; a dr without it keeps M: 1
+    argv = ["dr", "--algebra", "a1", "--p", "3", "--N", "2", "--D", "3",
+            "--E", "3"]
+    code, text = run_cli(argv, tmp_path)
+    assert code == 0 and "M: 1" in text.splitlines()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--M", "7"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "usage error: --M is read only by --base-change\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["compare", "--algebra", "gm", "--N", "2", "--E", "4", "--M", "1"],
     ["cris", "--algebra", "gm", "--N", "2", "--E", "4", "--M", "1"],

@@ -3,6 +3,7 @@
 import pytest
 
 from crystalcalc.crystal import (
+    STRUCTURAL_CHECKS,
     CohomologyReport,
     DoubleComplex,
     compare_dr_cris,
@@ -22,7 +23,7 @@ from crystalcalc.simplicial import LevelTower, SimplexMap
 from crystalcalc.smoothlift import catalog, unit_pair_presentation
 
 from dense_matrices import assert_rows_validated, to_dense
-from test_cli import PRES_TEXT
+from test_cli import PRES_TEXT, run_cli
 
 R33 = ZpN(3, 3)
 
@@ -49,25 +50,76 @@ def test_face_values_level1_forms():
     assert dc.face_matrix(1, 1, 1).is_zero()
 
 
+# -- the parts of d_total o d_total, checked one by one ----------------------
+
+
+def _moore_defect(dc, g):
+    """The first (m, q) whose alternating face sums do not square to zero."""
+    return next(((m, q) for m in range(2, dc.M + 1)
+                 for q in range(dc.columns[m].max_form_degree() + 1)
+                 if not dc.horizontal(m, q, g).mul(
+                     dc.horizontal(m - 1, q, g)).is_zero()), None)
+
+
+def _squares_defect(dc, g):
+    """The first (m, q) where the horizontal and vertical maps differ."""
+    for m in range(1, dc.M + 1):
+        for q in range(dc.columns[m].max_form_degree() + 1):
+            lhs = dc.horizontal(m, q, g).mul(dc.columns[m - 1].dmat(q, g))
+            rhs = dc.columns[m].dmat(q, g).mul(dc.horizontal(m, q + 1, g))
+            if lhs != rhs:
+                return m, q
+    return None
+
+
+def _column_defect(dc, g):
+    """The first (m, q) where column m's d does not square to zero."""
+    return next(((m, q) for m, col in enumerate(dc.columns)
+                 for q in range(col.max_form_degree() + 1)
+                 if not col.dmat(q, g).mul(col.dmat(q + 1, g)).is_zero()),
+                None)
+
+
+def _reference_defects(dc, g):
+    return {"column-complex": _column_defect(dc, g),
+            "commuting-squares": _squares_defect(dc, g),
+            "moore-property": _moore_defect(dc, g)}
+
+
+def _certificate(dc, g):
+    """(kind, m, q) of the block where d_total o d_total first fails on g."""
+    try:
+        dc.assert_total_complex(g)
+    except SignConventionViolation as exc:
+        kind, m, q, cell = exc.witness
+        assert (cell, str(exc)) == (g, f"column {m}, form degree {q}, "
+                                       f"graded {g}")
+        return kind, m, q
+    return None
+
+
+def _assert_certificate_passes(dc, g):
+    assert _certificate(dc, g) is None
+    assert _reference_defects(dc, g) == dict.fromkeys(STRUCTURAL_CHECKS)
+
+
 def test_moore_property_m2():
     A = catalog("gm", R33, E=4)
     dc = DoubleComplex(A, 2, D=4)
-    rep = dc.verify_moore(0)
-    assert rep.passed, rep.witness
+    _assert_certificate_passes(dc, 0)
 
 
 def test_commuting_squares():
     A = catalog("gm", R33, E=4)
     dc = DoubleComplex(A, 2, D=4)
-    rep = dc.verify_squares(1)
-    assert rep.passed, rep.witness
+    _assert_certificate_passes(dc, 1)
 
 
 def test_total_complex_squares_to_zero():
     A = catalog("gm", R33, E=4)
     dc = DoubleComplex(A, 2, D=4)
     for g in (-1, 0, 2):
-        dc.assert_total_complex(g)
+        _assert_certificate_passes(dc, g)
 
 
 def test_single_column_tot_is_column():
@@ -321,6 +373,18 @@ def _presentation(name, ring, E):
     return catalog(name, ring, E=E)
 
 
+def _faces_fix_pairs(dc, g):
+    """Every face entry of cell g joins two forms of one (x^a, J)."""
+    return all((src[r].xe, src[r].J) == (tgt[c].xe, tgt[c].J)
+               for m in range(1, dc.M + 1)
+               for q in range(dc.columns[m].max_form_degree() + 1)
+               for src, tgt in [(dc.columns[m].basis(q, g),
+                                 dc.columns[m - 1].basis(q, g))]
+               for i in range(m + 1)
+               for r, row in enumerate(dc.face_matrix(m, i, q, g)._rows)
+               for c in row)
+
+
 @pytest.mark.parametrize("name,p,N,D,E", [
     ("gm", 3, 2, 3, 3),
     ("a1", 2, 3, 3, 4),
@@ -351,7 +415,8 @@ def test_shared_face_side_matrices_equal_a_single_cell_complex(name, p, N,
                     assert got == fresh.face_matrix(m, i, q, g), (m, i, q, g)
                     assert got == _reference_face_matrix(dc, m, i, q, g), \
                         (m, i, q, g)
-        assert dc.verify_moore(g).passed
+        assert _faces_fix_pairs(dc, g)
+        assert _certificate(dc, g) is None
     # every case but the one-cell curve shares a layout between cells
     assert len({dc.layout(g) for g in gs}) < len(gs) or gs == [None]
 
@@ -388,18 +453,9 @@ def test_cells_with_one_layout_share_their_matrices():
     assert view.face_matrix(1, 1, 0, 3) is dc.face_matrix(1, 1, 0, 1)
 
 
-def test_corrupted_shared_face_fails_moore_at_the_first_cell(monkeypatch):
-    # x*y = 1 has two layouts: the cells g <= 0 pair dx with the larger
-    # x-monomial, the cells g >= 1 with the smaller one.  A corrupted face of
-    # the second layout must fail the Moore check, first at g = 1, and in
-    # every cell of that layout but no other
-    A = unit_pair_presentation(ZpN(3, 2), E=3)
-    D = 2
-    gs = graded_cells(A, D)
-    probe = DoubleComplex(A, 2, D)
-    bad_layout = probe.layout(1)
-    sharing = [g for g in gs if probe.layout(g) == bad_layout]
-    assert sharing[0] == 1 and len(sharing) > 1 and gs[0] < 1
+def _corrupt_moore(monkeypatch, A, D):
+    """Face (2, 1) scaled by 2 in the cells of g = 1's layout."""
+    bad_layout = DoubleComplex(A, 2, D).layout(1)
     original = DoubleComplex._build_face_matrix
 
     def corrupted(self, m, i, q, g):
@@ -409,19 +465,101 @@ def test_corrupted_shared_face_fails_moore_at_the_first_cell(monkeypatch):
         return mat
 
     monkeypatch.setattr(DoubleComplex, "_build_face_matrix", corrupted)
+    return bad_layout
+
+
+def _corrupt_squares(monkeypatch, A, D):
+    """Face (1, 0) on 0-forms scaled by 2."""
+    original = DoubleComplex._build_face_matrix
+
+    def corrupted(self, m, i, q, g):
+        mat = original(self, m, i, q, g)
+        return mat.scale(2) if (m, i, q) == (1, 0, 0) else mat
+
+    monkeypatch.setattr(DoubleComplex, "_build_face_matrix", corrupted)
+
+
+def _corrupt_column(monkeypatch, A, D):
+    """Column 1's d on 1-forms gains an entry in a row that its d on 0-forms
+    reaches, so the two no longer compose to zero."""
+    original = DeRhamComplex.dmat
+
+    def corrupted(self, q, g=None):
+        mat = original(self, q, g)
+        if (self.level, q) != (1, 1):
+            return mat
+        r = min(next(row for row in original(self, 0, g)._rows if row))
+        rows = mat.row_dicts()
+        rows[r][0] = rows[r].get(0, 0) + 1
+        return Matrix.from_row_dicts(mat.ring, rows, mat.ncols)
+
+    monkeypatch.setattr(DeRhamComplex, "dmat", corrupted)
+
+
+def test_corrupted_shared_face_fails_moore_at_the_first_cell(monkeypatch):
+    # x*y = 1 has two layouts: the cells g <= 0 pair dx with the larger
+    # x-monomial, the cells g >= 1 with the smaller one.  A corrupted face of
+    # the second layout must fail the Moore property, first at g = 1, and in
+    # every cell of that layout but no other
+    A = unit_pair_presentation(ZpN(3, 2), E=3)
+    D = 2
+    gs = graded_cells(A, D)
+    bad_layout = _corrupt_moore(monkeypatch, A, D)
+    dc = DoubleComplex(A, 2, D)
+    sharing = [g for g in gs if dc.layout(g) == bad_layout]
+    assert sharing[0] == 1 and len(sharing) > 1 and gs[0] < 1
     rep = compare_dr_cris(A, 2, D)
     assert not rep.passed
     assert rep.details["000:moore-property"] == "fail"
     assert rep.witness.endswith(", graded 1"), rep.witness
-    dc = DoubleComplex(A, 2, D)
     for g in gs:
-        moore = dc.verify_moore(g)
-        assert moore.passed == (dc.layout(g) != bad_layout), g
-        assert moore.details["graded"] == g
-        if not moore.passed:
-            assert moore.witness.endswith(f", graded {g}")
-    # the outcome is kept per M: the view's two columns have no Moore square
-    assert dc.truncated(1).verify_moore(1).passed
+        got = _certificate(dc, g)
+        assert (got is None) == (g not in sharing), g
+        assert got is None or got[0] == "moore-property"
+    # the view's two columns have no Moore part
+    assert dc.truncated(1).assert_total_complex(1)
+
+
+@pytest.mark.parametrize("kind, corrupt, name, D, E, M, block, failing", [
+    ("moore-property", _corrupt_moore, "gm-pair", 2, 3, 2, (2, 0),
+     [1, 2, 3]),
+    ("commuting-squares", _corrupt_squares, "gm", 3, 4, 1, (1, 0),
+     [-3, -2, -1, 1, 2, 3, 4]),
+    ("column-complex", _corrupt_column, "gm", 3, 4, 1, (1, 0),
+     [-3, -2, -1, 0, 1, 2, 3, 4]),
+])
+def test_corrupted_piece_fails_compare_at_its_block(
+        monkeypatch, tmp_path, kind, corrupt, name, D, E, M, block, failing):
+    # the certificate names the part of d_total o d_total that a corrupted
+    # piece breaks, at the block its reference check finds, and `compare`
+    # turns that into a failed check of that name
+    A = _presentation(name, ZpN(3, 2), E)
+    corrupt(monkeypatch, A, D)
+    dc = DoubleComplex(A, M, D)
+    gs = graded_cells(A, D)
+    for g in gs:
+        if g not in failing:
+            _assert_certificate_passes(dc, g)
+            continue
+        assert _certificate(dc, g) == (kind, *block), g
+        refs = _reference_defects(dc, g)
+        assert refs[kind] == block, g
+        if kind != "column-complex":  # a changed column d may break squares
+            assert [k for k, v in refs.items() if v] == [kind], g
+    algebra = name
+    if name == "gm-pair":
+        path = tmp_path / "pair.pres"
+        path.write_text(PRES_TEXT.replace("window: 5", f"window: {E}"),
+                        encoding="utf-8")
+        algebra = str(path)
+    code, text = run_cli(["compare", "--algebra", algebra, "--p", "3",
+                          "--N", "2", "--D", str(D), "--E", str(E),
+                          "--M", str(M)], tmp_path)
+    lines = text.splitlines()
+    assert code == 1
+    assert "status: fail" in lines and f"  000:{kind}: fail" in lines
+    assert f"witness: column {block[0]}, form degree {block[1]}, " \
+        f"graded {failing[0]}" in lines
 
 
 # -- one double complex per comparison ------------------------------------------
@@ -627,25 +765,24 @@ def test_built_matrices_store_validated_rows(name, ring, E, M, D):
         assert_rows_validated(mat)
 
 
-@pytest.mark.parametrize("where", ["column 0", "column 1"])
-def test_augmentation_check_catches_a_corrupted_column0_row(where):
-    # one changed entry in a column-0 row of Tot^0, inside the block (0, 1)
-    # of d or outside it, and column 0 no longer includes as a subcomplex
-    A = catalog("gm", ZpN(3, 2), E=4)
-    dc = DoubleComplex(A, 2, 3)
-    g = 1
-    assert dc.augmentation_is_chain_map(g).passed
-    d = dc.tot_matrix(0, g)
-    d0 = dc.columns[0].dmat(0, g)
-    assert d0.nrows >= 1 and dc.tot_blocks(1)[0] == (0, 1)
-    j = 0 if where == "column 0" else d.ncols - 1
-    assert (j < d0.ncols) == (where == "column 0")
-    rows = d.row_dicts()
-    rows[0][j] = rows[0].get(j, 0) + 1
-    dc._tot_cache[("d", 0, g)] = Matrix.from_row_dicts(A.ring, rows, d.ncols)
-    rep = dc.augmentation_is_chain_map(g)
-    assert not rep.passed
-    assert "q=0" in rep.witness
+@pytest.mark.parametrize("name, ring, E, M, D", [
+    ("point", ZpN(3, 2), 3, 2, 3),
+    ("a1", ZpN(2, 3), 4, 2, 4),
+    ("gm", ZpN(3, 2), 4, 2, 3),
+    ("ell-3-1-2", ZpN(3, 2), 3, 2, 2),
+])
+def test_column0_rows_of_the_total_differential_are_its_d(name, ring, E, M,
+                                                          D):
+    # column 0 is the first block of Tot^q and of Tot^(q+1), so it includes
+    # as a subcomplex exactly when its rows of d_total are its own d_q
+    A = catalog(name, ring, E=E)
+    dc = DoubleComplex(A, M, D)
+    for g in graded_cells(A, D):
+        for q in range(dc.columns[0].max_form_degree() + 1):
+            assert dc.tot_blocks(q)[0] == (0, q)
+            assert dc.tot_blocks(q + 1)[:1] in ([(0, q + 1)], [])
+            d0 = dc.columns[0].dmat(q, g)
+            assert dc.tot_matrix(q, g)._rows[:d0.nrows] == d0._rows, (q, g)
 
 
 # -- one elimination per class of isomorphic cells --------------------------------
@@ -769,9 +906,13 @@ def test_a_view_asked_first_certifies_on_every_column(monkeypatch):
         .total_cohomology(0, 2)
 
 
-def test_a_face_that_moves_a_layout_pair_stops_the_sharing(monkeypatch):
-    # a face entry from x^g dT to x^(g-1) dx joins two layout pairs, so no
-    # scaling of the pairs need commute with it: every cell stands alone
+def test_the_pair_oracle_catches_a_face_that_moves_a_layout_pair(
+        monkeypatch):
+    # the class certificate reads the dmats alone, since every face entry
+    # joins forms of one (x^a, J) by construction; a face entry from x^g dT
+    # to x^(g-1) dx would join two layout pairs, and the oracle sees it
+    A = catalog("gm", ZpN(3, 3), E=9)
+    assert _faces_fix_pairs(DoubleComplex(A, 2, 4), 2)
     original = DoubleComplex._build_face_matrix
 
     def moving(self, m, i, q, g):
@@ -784,8 +925,4 @@ def test_a_face_that_moves_a_layout_pair_stops_the_sharing(monkeypatch):
         return Matrix.from_row_dicts(self.A.ring, rows, mat.ncols)
 
     monkeypatch.setattr(DoubleComplex, "_build_face_matrix", moving)
-    dc = DoubleComplex(catalog("gm", ZpN(3, 3), E=9), 2, 4)
-    assert dc.representative(1) == (1, None)
-    assert dc._unit_scaling(2, 1) is not None
-    assert dc.representative(2) == (2, None)
-    assert not dc._faces_fix_pairs(2)
+    assert not _faces_fix_pairs(DoubleComplex(A, 2, 4), 2)
